@@ -9,7 +9,7 @@
 //	       [-faults drop=0.05,jitter=200] [-v] [-metrics-addr :8080]
 //	       [-evade-jitter 0] [-evade-duty 0] [-fec]
 //	       [-stream] [-start-quanta 0] [-watchdog 30s] [-record flight.json]
-//	       [-no-pool] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Examples:
 //
@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"cchunter"
-	"cchunter/internal/pool"
 )
 
 func main() {
@@ -58,17 +57,12 @@ func main() {
 	fec := flag.Bool("fec", false, "frame the message with two-layer FEC (Berger-checked words + XOR group parity)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live pipeline metrics as JSON on this address (e.g. :8080) for the duration of the run")
 	streamMode := flag.Bool("stream", false, "streaming bounded-memory detection (verdict identical; adds onset estimates)")
-	pipelined := flag.Bool("pipelined", false, "pipeline event delivery to the auditor through an SPSC ring on its own goroutine (verdict byte-identical)")
-	slices := flag.Int("slices", 0, "split the run's observation quanta across this many quantum-sliced audit lanes, merged deterministically before analysis (0/1 = serial; verdict byte-identical)")
 	watchdog := flag.Duration("watchdog", 0, "analysis watchdog timeout; overrun or panic yields a degraded verdict (0 = off)")
 	record := flag.String("record", "", "write a flight-recorder capture (raw events around the verdict) to this file for cctrace replay")
 	verbose := flag.Bool("v", false, "print histograms and per-window detail")
-	noPool := flag.Bool("no-pool", false, "disable analysis buffer pooling (debugging aid; output is identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	pool.SetEnabled(!*noPool)
 
 	if *list {
 		fmt.Println("workloads:", strings.Join(cchunter.WorkloadNames(), ", "))
@@ -106,8 +100,6 @@ func main() {
 		Faults:             faultCfg,
 		Seed:               *seed,
 		Stream:             *streamMode,
-		Pipelined:          *pipelined,
-		Slices:             *slices,
 		Watchdog:           *watchdog,
 		EvaderJitter:       *evadeJitter,
 		EvaderDuty:         *evadeDuty,

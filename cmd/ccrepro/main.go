@@ -4,7 +4,7 @@
 // Usage:
 //
 //	ccrepro [-fig all|2,3,6,8,...] [-out out/] [-scale 100] [-seed 1]
-//	        [-messages 32] [-quanta 64] [-j N] [-v] [-no-pool]
+//	        [-messages 32] [-quanta 64] [-j N] [-v]
 //	        [-watchdog 0] [-bench-out bench.json] [-metrics-out metrics.json]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -40,7 +40,6 @@ import (
 	"cchunter"
 	"cchunter/internal/experiments"
 	"cchunter/internal/obs"
-	"cchunter/internal/pool"
 	"cchunter/internal/runner"
 	"cchunter/internal/trace"
 )
@@ -60,18 +59,13 @@ func main() {
 	messages := flag.Int("messages", 32, "messages for Figure 12 (paper: 256)")
 	quanta := flag.Int("quanta", 64, "observation quanta for Figure 14 (paper: 512)")
 	jobs := flag.Int("j", runtime.NumCPU(), "worker count for figures and their sweeps (1 = serial)")
-	shards := flag.Int("shards", 0, "simulator shard lanes for whole-scenario figures: each scenario runs as a shard with pipelined SPSC event delivery (0 = synchronous legacy path; output identical at every value)")
-	slices := flag.Int("slices", 0, "quantum-sliced audit lanes per run: each scenario's observation quanta split across this many slice-local auditors, merged deterministically before analysis (0/1 = serial; output identical at every value)")
 	verbose := flag.Bool("v", false, "print per-figure timing after the run")
 	benchOut := flag.String("bench-out", "", "write a benchmark-trajectory JSON report (ns, allocs, detection metrics per figure) to this file; forces -j 1 for per-figure attribution")
 	metricsOut := flag.String("metrics-out", "", "instrument each figure with a pipeline metrics registry and write the per-figure snapshots as JSON to this file")
-	noPool := flag.Bool("no-pool", false, "disable analysis buffer pooling (debugging aid; output is identical either way)")
 	watchdog := flag.Duration("watchdog", 0, "per-figure watchdog timeout; stuck or panicking figures become typed failures instead of hanging the run (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	pool.SetEnabled(!*noPool)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -92,7 +86,7 @@ func main() {
 		bench = &rep
 	}
 
-	opts := experiments.Options{Seed: *seed, TimeScale: *scale, Workers: *jobs, Shards: *shards, Slices: *slices}
+	opts := experiments.Options{Seed: *seed, TimeScale: *scale, Workers: *jobs}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}

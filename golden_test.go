@@ -46,8 +46,7 @@ func goldenMarshal(t *testing.T, res *Result) []byte {
 }
 
 // goldenCases is the regression corpus: one scenario per covert
-// channel plus a benign workload mix. Shared with the quantum-slicing
-// equivalence tests, which replay the same corpus through sliced lanes.
+// channel plus a benign workload mix.
 func goldenCases() []struct {
 	name string
 	sc   Scenario

@@ -2,8 +2,10 @@ package auditor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"cchunter/internal/obs"
 	"cchunter/internal/trace"
 )
 
@@ -246,5 +248,134 @@ func TestAccumulatorSaturates(t *testing.T) {
 	h := a.MergedHistogram(trace.KindBusLock)
 	if h.Bin(h.NumBins()-1) != 1 {
 		t.Errorf("saturated window not in top bin: %v", h.String())
+	}
+}
+
+// batchEvents is a bus-lock stream that alternates dense quanta (50
+// events per 50k-cycle window, clamped into the top histogram bin) with
+// sparse ones (20 per window, events landing exactly on window
+// boundaries), interleaved with runs of conflict misses whose pair
+// direction alternates so the dedup comparator stays busy.
+func batchEvents(quanta int, quantum uint64) []trace.Event {
+	var out []trace.Event
+	end := uint64(quanta) * quantum
+	for c := uint64(5_000); c < end; {
+		out = append(out, busEvent(c))
+		if (c/2_500)%5 == 0 {
+			dir := uint8((c / 12_500) % 2)
+			for w := uint64(0); w < 3; w++ {
+				out = append(out, confEvent(c+w, uint32(c%64), dir, 1-dir))
+			}
+		}
+		if (c/quantum)%2 == 0 {
+			c += 1_000
+		} else {
+			c += 2_500
+		}
+	}
+	return out
+}
+
+// TestBatchDeliveryMatchesPerEvent: the batched OnEvents path and
+// per-event OnEvent delivery leave the auditor in the same observable
+// state — records, integrity counters, conflict train, and published
+// metrics — at every batch size.
+func TestBatchDeliveryMatchesPerEvent(t *testing.T) {
+	const quantum = uint64(100_000)
+	const quanta = 6
+	events := batchEvents(quanta, quantum)
+	end := uint64(quanta) * quantum
+	build := func() (*Auditor, *obs.Registry) {
+		a := MustNew(Config{HistogramBins: 32, VectorBytes: 16, QuantumCycles: quantum, Privileged: true})
+		if err := a.Monitor(trace.KindBusLock, 50_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.MonitorConflicts(); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		a.Instrument(reg)
+		return a, reg
+	}
+	ref, refReg := build()
+	for _, e := range events {
+		ref.OnEvent(e)
+	}
+	ref.Flush(end)
+	if ref.Integrity(trace.KindBusLock).HistogramClamped == 0 {
+		t.Fatal("fixture never clamps a histogram bin; the clamped path is untested")
+	}
+	if ref.ConflictIntegrity().Recorded == 0 || ref.ConflictTrain().Len() == 0 {
+		t.Fatal("fixture records no conflicts")
+	}
+	for _, batch := range []int{1, 7, 64, len(events)} {
+		a, reg := build()
+		for i := 0; i < len(events); i += batch {
+			j := i + batch
+			if j > len(events) {
+				j = len(events)
+			}
+			a.OnEvents(events[i:j])
+		}
+		a.Flush(end)
+		if !reflect.DeepEqual(a.Histograms(trace.KindBusLock), ref.Histograms(trace.KindBusLock)) {
+			t.Errorf("batch %d: per-quantum records differ", batch)
+		}
+		if got, want := a.Integrity(trace.KindBusLock), ref.Integrity(trace.KindBusLock); got != want {
+			t.Errorf("batch %d: integrity %+v, want %+v", batch, got, want)
+		}
+		if got, want := a.ConflictIntegrity(), ref.ConflictIntegrity(); got != want {
+			t.Errorf("batch %d: conflict integrity %+v, want %+v", batch, got, want)
+		}
+		if !reflect.DeepEqual(a.ConflictTrain().Events(), ref.ConflictTrain().Events()) {
+			t.Errorf("batch %d: conflict trains differ", batch)
+		}
+		if got, want := reg.Snapshot(), refReg.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("batch %d: metrics %+v, want %+v", batch, got, want)
+		}
+	}
+}
+
+// TestDrainKeepsIntegrity: draining records hands them to the caller
+// without losing the clamped-window tally, and TrimConflicts keeps
+// trimmed entries in the recorded count.
+func TestDrainKeepsIntegrity(t *testing.T) {
+	const quantum = uint64(100_000)
+	a := MustNew(Config{HistogramBins: 32, VectorBytes: 16, QuantumCycles: quantum, Privileged: true})
+	if err := a.Monitor(trace.KindBusLock, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.MonitorConflicts(); err != nil {
+		t.Fatal(err)
+	}
+	a.OnEvents(batchEvents(4, quantum))
+	a.Flush(4 * quantum)
+	before := a.Integrity(trace.KindBusLock)
+	conflicts := a.ConflictIntegrity()
+
+	drained := a.DrainHistograms(trace.KindBusLock, nil)
+	if len(drained) != 4 {
+		t.Fatalf("drained %d quantum records, want 4", len(drained))
+	}
+	if n := len(a.Histograms(trace.KindBusLock)); n != 0 {
+		t.Errorf("%d records left after drain", n)
+	}
+	if got := a.Integrity(trace.KindBusLock); got != before {
+		t.Errorf("integrity after drain %+v, want %+v", got, before)
+	}
+	if r := before.SaturationRate(); r <= 0 || r > 1 {
+		t.Errorf("saturation rate %v outside (0, 1]", r)
+	}
+
+	a.ForceDrainConflicts()
+	n := a.ConflictTrain().Len()
+	if trimmed := a.TrimConflicts(2 * quantum); trimmed <= 0 || trimmed >= n {
+		t.Errorf("trimmed %d of %d conflicts before quantum 2", trimmed, n)
+	}
+	if got := a.ConflictIntegrity(); got.Recorded != conflicts.Recorded {
+		t.Errorf("recorded after trim = %d, want %d", got.Recorded, conflicts.Recorded)
+	}
+	if r := a.ConflictIntegrity().LossRate(); r < 0 || r > 1 {
+		t.Errorf("loss rate %v outside [0, 1]", r)
 	}
 }

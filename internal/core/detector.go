@@ -7,7 +7,6 @@ import (
 
 	"cchunter/internal/auditor"
 	"cchunter/internal/obs"
-	"cchunter/internal/pool"
 	"cchunter/internal/stats"
 	"cchunter/internal/trace"
 )
@@ -233,20 +232,12 @@ func NewDetector(aud *auditor.Auditor, cfg DetectorConfig) *Detector {
 		// One scratch workspace serves every couple and observation
 		// window this detector ever analyzes; Analyze is synchronous,
 		// so the borrow never overlaps.
-		if pool.Enabled() {
-			d.ws = wsPool.Get().(*stats.Workspace)
-			d.ws.ResetCounts()
-		} else {
-			d.ws = stats.NewWorkspace()
-		}
+		d.ws = wsPool.Get().(*stats.Workspace)
+		d.ws.ResetCounts()
 		d.cfg.Oscillation.Workspace = d.ws
 	}
 	if d.cfg.Burst.Workspace == nil {
-		if pool.Enabled() {
-			d.kws = kwsPool.Get().(*stats.KmeansWorkspace)
-		} else {
-			d.kws = new(stats.KmeansWorkspace)
-		}
+		d.kws = kwsPool.Get().(*stats.KmeansWorkspace)
 		d.cfg.Burst.Workspace = d.kws
 	}
 	return d
@@ -258,18 +249,14 @@ func NewDetector(aud *auditor.Auditor, cfg DetectorConfig) *Detector {
 // caller. The detector must not be used after Release.
 func (d *Detector) Release() {
 	if d.kws != nil {
-		if pool.Enabled() {
-			kwsPool.Put(d.kws)
-		}
+		kwsPool.Put(d.kws)
 		d.kws = nil
 		d.cfg.Burst.Workspace = nil
 	}
 	if d.ws == nil {
 		return
 	}
-	if pool.Enabled() {
-		wsPool.Put(d.ws)
-	}
+	wsPool.Put(d.ws)
 	d.ws = nil
 	d.cfg.Oscillation.Workspace = nil
 }

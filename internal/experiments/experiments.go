@@ -44,23 +44,6 @@ type Options struct {
 	// (default GOMAXPROCS; 1 = serial). Results are identical at
 	// every worker count.
 	Workers int
-	// Shards, when positive, runs whole-scenario figure jobs (the
-	// independent (configuration, seed) streams of Figures 4 and 6)
-	// as simulator shards: a pool of Shards lanes, each scenario with
-	// pipelined SPSC event delivery overlapping its simulation with
-	// its auditing (see Scenario.Pipelined). Zero keeps the legacy
-	// synchronous path on the Workers pool. Purely a throughput knob:
-	// results are byte-identical at every shard count (pinned by the
-	// shard-determinism tests and CI lane).
-	Shards int
-	// Slices, when > 1, splits every scenario's observation quanta
-	// across that many quantum-sliced audit lanes (see
-	// Scenario.Slices): one engine produces, the slice auditors
-	// consume in parallel, and the slices merge deterministically
-	// before analysis. Orthogonal to Shards (across-scenario
-	// parallelism) — slicing parallelizes within one run. Results are
-	// byte-identical at every slice count.
-	Slices int
 	// Metrics, when non-nil, instruments every scenario the experiment
 	// runs (see Scenario.Metrics). The registry is race-safe, so a
 	// figure's parallel sub-runs may share one; figure results are
@@ -152,7 +135,6 @@ func (o Options) cacheBPS(paperBPS float64) float64 {
 // is a bug, not user input.
 func (o Options) run(sc cchunter.Scenario) *cchunter.Result {
 	sc.Metrics = o.Metrics
-	sc.Slices = o.Slices
 	res, err := sc.Run()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -173,30 +155,10 @@ func (o Options) runJobs(jobs []runner.Job) []runner.Result {
 
 // scenarioJob wraps one scenario as a runner job that ignores the
 // derived seed: the scenario's own Seed is part of the experiment's
-// pinned configuration. With Shards set the scenario becomes a shard:
-// its event delivery is pipelined through an SPSC conduit.
+// pinned configuration.
 func (o Options) scenarioJob(name string, sc cchunter.Scenario) runner.Job {
 	sc.Metrics = o.Metrics
-	sc.Pipelined = o.Shards > 0
-	sc.Slices = o.Slices
 	return runner.Job{Name: name, Run: func(uint64) (interface{}, error) {
 		return sc.Run()
 	}}
-}
-
-// runShardJobs executes whole-scenario jobs. With Shards > 0 they run
-// on a pool of Shards lanes — the per-shard systems then pipeline into
-// their auditors concurrently; otherwise they share the experiment
-// worker pool like any other job. Results come back in input order
-// either way, so figure output is byte-identical at every shard count.
-func (o Options) runShardJobs(jobs []runner.Job) []runner.Result {
-	workers := o.Workers
-	if o.Shards > 0 {
-		workers = o.Shards
-	}
-	results, err := runner.Run(workers, o.Seed, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return results
 }

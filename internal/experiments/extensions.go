@@ -243,8 +243,8 @@ func frontierStat(ch cchunter.Channel, res *cchunter.Result) (stat float64, dete
 // channel: settings exist where the detection statistic degrades while
 // the channel — whose two ends share the evader schedule — still
 // decodes, mapping where recurrence detection ends and residual
-// channel capacity begins. All rows run as shardable scenario jobs, so
-// the figure is byte-identical at every -j and -shards count.
+// channel capacity begins. All rows run as independent scenario jobs,
+// so the figure is byte-identical at every -j count.
 func ExtEvasion(o Options) EvasionResult {
 	o = o.norm()
 	noises := []float64{0, 0.25, 0.5, 1.0}
@@ -271,7 +271,7 @@ func ExtEvasion(o Options) EvasionResult {
 				fmt.Sprintf("evade/%s/j%g-d%g", ch, set.Jitter, set.Duty), sc))
 		}
 	}
-	results := o.runShardJobs(jobs)
+	results := o.runJobs(jobs)
 
 	errRate := func(res *cchunter.Result) float64 {
 		if n := len(res.Decoded); n > 0 {

@@ -19,23 +19,7 @@
 // returns nil without touching any pool.
 package pool
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// disabled turns every Get into a plain make and every Put into a
-// no-op — a debugging aid (cchunt/ccrepro -no-pool) for bisecting
-// whether a suspect value involves buffer reuse. Output is identical
-// either way; only allocation behavior changes.
-var disabled atomic.Bool
-
-// SetEnabled toggles pooling globally. Intended for CLI flags and
-// tests; the default is enabled.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether pooling is active.
-func Enabled() bool { return !disabled.Load() }
+import "sync"
 
 // numClasses covers buffer capacities up to 2^31 entries; requests
 // beyond the largest class fall back to plain make/discard.
@@ -63,7 +47,7 @@ func (p *typedPools[T]) get(n int) []T {
 		return nil
 	}
 	c := class(n)
-	if c >= numClasses || disabled.Load() {
+	if c >= numClasses {
 		return make([]T, n)
 	}
 	if v := p.classes[c].Get(); v != nil {
@@ -80,7 +64,7 @@ func (p *typedPools[T]) get(n int) []T {
 // put recycles a buffer into the class its capacity fully covers.
 func (p *typedPools[T]) put(s []T) {
 	c := cap(s)
-	if c == 0 || disabled.Load() {
+	if c == 0 {
 		return
 	}
 	// Floor class: the buffer must satisfy every get of its class.

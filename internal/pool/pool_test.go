@@ -63,25 +63,6 @@ func TestPutOddCapacityStaysUsable(t *testing.T) {
 	}
 }
 
-func TestDisableFallsBackToMake(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	if Enabled() {
-		t.Fatal("SetEnabled(false) did not take")
-	}
-	s := Float64s(16)
-	if len(s) != 16 {
-		t.Fatalf("disabled Float64s(16): len %d", len(s))
-	}
-	PutFloat64s(s) // must be a no-op, not a panic
-	r := Float64s(16)
-	for _, v := range r {
-		if v != 0 {
-			t.Fatal("disabled pool returned non-zero buffer")
-		}
-	}
-}
-
 func TestZeroAndHugeRequests(t *testing.T) {
 	if s := Float64s(0); s != nil {
 		t.Errorf("Float64s(0) = %v, want nil", s)

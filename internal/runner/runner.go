@@ -181,25 +181,28 @@ func (p Pool) Run(rootSeed uint64, jobs []Job) ([]Result, error) {
 		next++
 		return i, true
 	}
+	// complete records a result and reports progress. cbMu serializes
+	// the callbacks, and taking it before mu hands them Done counts in
+	// increasing order; claim never waits on it, so a slow callback
+	// does not stall dispatch.
+	var cbMu sync.Mutex
 	complete := func(i int, r Result) {
+		cbMu.Lock()
+		defer cbMu.Unlock()
 		mu.Lock()
 		results[i] = r
 		done++
+		n := done
 		if r.Err != nil {
 			failed = true
 		}
-		cb := p.OnProgress
-		var prog Progress
-		if cb != nil {
-			elapsed := time.Since(start)
-			prog = Progress{Last: r, Done: done, Total: len(jobs), Elapsed: elapsed}
-			if done > 0 {
-				prog.ETA = elapsed / time.Duration(done) * time.Duration(len(jobs)-done)
-			}
-		}
 		mu.Unlock()
-		if cb != nil {
-			cb(prog)
+		if p.OnProgress != nil {
+			elapsed := time.Since(start)
+			p.OnProgress(Progress{
+				Last: r, Done: n, Total: len(jobs), Elapsed: elapsed,
+				ETA: elapsed / time.Duration(n) * time.Duration(len(jobs)-n),
+			})
 		}
 	}
 

@@ -44,6 +44,12 @@ func (e *PanicError) Error() string {
 //     error. The abandoned goroutine keeps its panic recovery, so a
 //     late crash cannot take the process down either.
 //
+// Whether fn overran is decided by the completion time fn's goroutine
+// stamps, not by which of two ready channels select happens to pick:
+// a result stamped after the deadline is an overrun even when it
+// reaches Supervise before the timer does, and a result stamped in
+// time wins even when its hand-off loses the race to the timer.
+//
 // A zero timeout disables the watchdog (fn runs on the calling
 // goroutine; only panic recovery applies). reg, which may be nil,
 // tallies runner.watchdog_fired and runner.panics_recovered.
@@ -66,36 +72,44 @@ func Supervise(ctx context.Context, name string, timeout time.Duration, reg *obs
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		v   interface{}
-		err error
+		v    interface{}
+		err  error
+		done time.Time
 	}
 	ch := make(chan outcome, 1)
+	deadline := time.Now().Add(timeout)
 	go func() {
 		var o outcome
 		o.v, o.err = run(ctx)
+		o.done = time.Now()
 		ch <- o
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.v, o.err
+		if !o.done.After(deadline) {
+			return o.v, o.err
+		}
 	case <-timer.C:
+		cancel()
+		// Grace period: a job that honors its context comes back
+		// quickly and the goroutine is reaped; an unresponsive one is
+		// abandoned (it still carries panic recovery).
+		grace := timeout / 4
+		if grace > 100*time.Millisecond {
+			grace = 100 * time.Millisecond
+		}
+		graceTimer := time.NewTimer(grace)
+		defer graceTimer.Stop()
+		select {
+		case o := <-ch:
+			if !o.done.After(deadline) {
+				return o.v, o.err
+			}
+		case <-graceTimer.C:
+		}
 	}
 	reg.Counter("runner.watchdog_fired").Inc()
-	cancel()
-	// Grace period: a job that honors its context comes back quickly
-	// and the goroutine is reaped; an unresponsive one is abandoned
-	// (it still carries panic recovery).
-	grace := timeout / 4
-	if grace > 100*time.Millisecond {
-		grace = 100 * time.Millisecond
-	}
-	graceTimer := time.NewTimer(grace)
-	defer graceTimer.Stop()
-	select {
-	case <-ch:
-	case <-graceTimer.C:
-	}
 	return nil, fmt.Errorf("%w: job %q exceeded %v", ErrWatchdog, name, timeout)
 }

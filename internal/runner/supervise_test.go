@@ -56,6 +56,32 @@ func TestSuperviseWatchdogAbandonsStuckJob(t *testing.T) {
 	}
 }
 
+// TestSuperviseOverrunIsDeterministic: a job that finishes after its
+// deadline is an overrun even when its result and the timer are both
+// ready by the time Supervise looks, so a busy job against a 1 ns
+// timeout fails on every iteration, not on whichever case select
+// happens to pick.
+func TestSuperviseOverrunIsDeterministic(t *testing.T) {
+	reg := obs.NewRegistry()
+	const iters = 500
+	for i := 0; i < iters; i++ {
+		v, err := Supervise(context.Background(), "busy", time.Nanosecond, reg,
+			func(context.Context) (interface{}, error) {
+				sum := 0
+				for j := 0; j < 20000; j++ {
+					sum += j * j
+				}
+				return sum, nil
+			})
+		if !errors.Is(err, ErrWatchdog) {
+			t.Fatalf("iteration %d: got (%v, %v), want ErrWatchdog", i, v, err)
+		}
+	}
+	if got := reg.Snapshot().Counters["runner.watchdog_fired"]; got != iters {
+		t.Errorf("watchdog_fired = %d, want %d", got, iters)
+	}
+}
+
 func TestSuperviseCooperativeCancel(t *testing.T) {
 	_, err := Supervise(context.Background(), "coop", 30*time.Millisecond, nil,
 		func(ctx context.Context) (interface{}, error) {
