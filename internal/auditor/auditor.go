@@ -125,9 +125,32 @@ func newSlot(kind trace.Kind, deltaT uint64, bins int, quantumLen uint64) *slot 
 }
 
 // advance closes out all Δt windows and quanta strictly before cycle.
+// Only the open window can hold events; every window after it up to
+// cycle is empty, so each run of empty windows up to the next quantum
+// roll (or to cycle) is credited in one step instead of one close per
+// window. The slot state — every counter and histogram — ends exactly
+// where closing the windows one at a time would leave it.
 func (s *slot) advance(cycle uint64) {
+	if cycle < s.windowStart+s.deltaT {
+		return
+	}
+	s.closeWindow()
 	for cycle >= s.windowStart+s.deltaT {
-		s.closeWindow()
+		k := (cycle - s.windowStart) / s.deltaT
+		// windowStart sits below the quantum boundary (a roll moves the
+		// quantum past it), so at least one window fits before the roll.
+		boundary := (s.quantum + 1) * s.quantumLen
+		if toRoll := (boundary - s.windowStart + s.deltaT - 1) / s.deltaT; toRoll < k {
+			k = toRoll
+		}
+		s.hist.AddN(0, k)
+		if s.densityAcc != nil {
+			s.densityAcc[0] += k
+			s.winAcc += k
+		}
+		s.windows += k
+		s.windowStart += k * s.deltaT
+		s.rollQuantum()
 	}
 }
 
@@ -150,6 +173,12 @@ func (s *slot) closeWindow() {
 		s.satThisWin = false
 	}
 	s.windowStart += s.deltaT
+	s.rollQuantum()
+}
+
+// rollQuantum records the quantum's histogram and starts the next one
+// once the window start has crossed the quantum boundary.
+func (s *slot) rollQuantum() {
 	if s.windowStart >= (s.quantum+1)*s.quantumLen {
 		s.records = append(s.records, QuantumHistogram{Quantum: s.quantum, Hist: s.hist})
 		s.hist = stats.NewHistogram(s.bins)

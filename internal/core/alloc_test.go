@@ -96,3 +96,34 @@ func TestOscillationWorkspacePathAllocationFree(t *testing.T) {
 		t.Errorf("AnalyzeOscillation allocates %.0f times per run, want <= 8", allocs)
 	}
 }
+
+// TestWindowSweepAllocationsFlat pins the Figure 11 sweep path: with no
+// caller-supplied workspace, AnalyzeOscillationWindows borrows one
+// pooled workspace for the whole sweep, so each window costs only its
+// verdict envelope (sub-train header, couple and peak lists, pool
+// bookkeeping, result slot). Allocations grow by a small constant per
+// window as the same train is cut into more and smaller windows; a
+// per-window workspace (fresh scratch and twiddle table every window)
+// roughly doubled that constant.
+func TestWindowSweepAllocationsFlat(t *testing.T) {
+	const perWindow, fixed = 8.0, 8.0
+	quantum := uint64(10_000_000)
+	train := allocFixture(t, quantum, 4).ConflictTrain()
+	end := train.Events()[train.Len()-1].Cycle + 1
+	cfg := DefaultDetectorConfig(quantum, 8).Oscillation
+	for _, windows := range []uint64{2, 8, 32} {
+		window := end/windows + 1
+		got := AnalyzeOscillationWindows(train, 0, end, window, cfg) // warm-up
+		if uint64(len(got)) != windows {
+			t.Fatalf("%d windows: analyzed %d", windows, len(got))
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, a := range AnalyzeOscillationWindows(train, 0, end, window, cfg) {
+				pool.PutFloat64s(a.Autocorrelogram)
+			}
+		})
+		if limit := perWindow*float64(windows) + fixed; allocs > limit {
+			t.Errorf("%d windows: sweep allocates %.0f times, want <= %.0f", windows, allocs, limit)
+		}
+	}
+}

@@ -208,6 +208,14 @@ type Detector struct {
 // are identical to a fresh one.
 var wsPool = sync.Pool{New: func() any { return stats.NewWorkspace() }}
 
+// borrowWorkspace takes a workspace from wsPool with its path counts
+// reset, so the counts it reports cover only the new owner's calls.
+func borrowWorkspace() *stats.Workspace {
+	ws := wsPool.Get().(*stats.Workspace)
+	ws.ResetCounts()
+	return ws
+}
+
 // kwsPool does the same for the burst detector's k-means scratch. A
 // KmeansWorkspace carries no counters or results across uses — every
 // method re-zeroes the scratch it hands out — so recycling is
@@ -232,8 +240,7 @@ func NewDetector(aud *auditor.Auditor, cfg DetectorConfig) *Detector {
 		// One scratch workspace serves every couple and observation
 		// window this detector ever analyzes; Analyze is synchronous,
 		// so the borrow never overlaps.
-		d.ws = wsPool.Get().(*stats.Workspace)
-		d.ws.ResetCounts()
+		d.ws = borrowWorkspace()
 		d.cfg.Oscillation.Workspace = d.ws
 	}
 	if d.cfg.Burst.Workspace == nil {

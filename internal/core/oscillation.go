@@ -50,19 +50,22 @@ type OscillationConfig struct {
 	RawPairSeries bool
 	// Contexts is the hardware context count.
 	Contexts int
-	// Workspace, when non-nil, supplies the FFT/autocorrelation scratch
-	// buffers, so analyzing many couples and windows in sequence
-	// allocates no per-call scratch. The workspace is borrowed only for
-	// the duration of each autocorrelation (results are copied out) and
-	// must not be shared across goroutines.
+	// Workspace supplies the FFT/autocorrelation scratch buffers, so
+	// analyzing many couples and windows in sequence allocates no
+	// per-call scratch. The workspace is borrowed only for the duration
+	// of each autocorrelation (results are copied out) and must not be
+	// shared across goroutines. When nil, each AnalyzeOscillation or
+	// AnalyzeOscillationWindows call borrows one from the package pool
+	// for its duration; a caller that wants the workspace's path counts
+	// supplies its own.
 	Workspace *stats.Workspace
-	// SegmentLen, when positive (and a Workspace is supplied), switches
-	// the correlogram to the segmented Wiener–Khinchin estimate:
-	// Bartlett-averaged autocorrelograms over fixed-size chunks. The
-	// streaming daemon uses it for mid-window interim verdicts — each
-	// chunk costs O(SegmentLen log SegmentLen) and nothing ever
-	// transforms the whole series. It is an estimate; final (and batch)
-	// analyses leave it zero and compute the exact §IV-D statistic.
+	// SegmentLen, when positive, switches the correlogram to the
+	// segmented Wiener–Khinchin estimate: Bartlett-averaged
+	// autocorrelograms over fixed-size chunks. The streaming daemon uses
+	// it for mid-window interim verdicts — each chunk costs
+	// O(SegmentLen log SegmentLen) and nothing ever transforms the whole
+	// series. It is an estimate; final (and batch) analyses leave it
+	// zero and compute the exact §IV-D statistic.
 	SegmentLen int
 }
 
@@ -128,6 +131,11 @@ func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig) OscillationAn
 	out.Events = train.Len()
 	if out.Events < 4 {
 		return out
+	}
+	if cfg.Workspace == nil {
+		ws := borrowWorkspace()
+		defer wsPool.Put(ws)
+		cfg.Workspace = ws
 	}
 	if cfg.RawPairSeries {
 		series := appearanceOrderSeries(train)
@@ -396,23 +404,19 @@ func analyzeSeries(series []float64, cfg OscillationConfig) OscillationAnalysis 
 	if maxLag > len(series)-1 {
 		maxLag = len(series) - 1
 	}
-	if cfg.Workspace != nil {
-		// The workspace owns the slice it returns and will overwrite it
-		// on its next use; OscillationAnalysis outlives that, so copy —
-		// into a pooled buffer, which AnalyzeOscillation recycles when
-		// this analysis loses the couple comparison.
-		var acf []float64
-		if cfg.SegmentLen > 0 {
-			acf = cfg.Workspace.SegmentedAutocorrelogram(series, cfg.SegmentLen, maxLag)
-		} else {
-			acf = cfg.Workspace.Autocorrelogram(series, maxLag)
-		}
-		buf := pool.Float64s(len(acf))
-		copy(buf, acf)
-		out.Autocorrelogram = buf
+	// The workspace owns the slice it returns and will overwrite it on
+	// its next use; OscillationAnalysis outlives that, so copy — into a
+	// pooled buffer, which AnalyzeOscillation recycles when this
+	// analysis loses the couple comparison.
+	var acf []float64
+	if cfg.SegmentLen > 0 {
+		acf = cfg.Workspace.SegmentedAutocorrelogram(series, cfg.SegmentLen, maxLag)
 	} else {
-		out.Autocorrelogram = stats.Autocorrelogram(series, maxLag)
+		acf = cfg.Workspace.Autocorrelogram(series, maxLag)
 	}
+	buf := pool.Float64s(len(acf))
+	copy(buf, acf)
+	out.Autocorrelogram = buf
 	out.Peaks = stats.Peaks(out.Autocorrelogram, cfg.PeakThreshold)
 	// Track the running minimum so each candidate peak's prominence
 	// (rise above the deepest preceding valley) is available in one
@@ -451,12 +455,11 @@ func analyzeSeries(series []float64, cfg OscillationConfig) OscillationAnalysis 
 // scanning within the tolerance band around each multiple. Lags inside
 // the precomputed correlogram are read from it; harmonics beyond
 // MaxLag (a long fundamental in a short plot) are verified with
-// targeted autocorrelation computations on the series. With a
-// workspace, those probes reuse the centered copy and energy the
-// correlogram pass just computed (bit-identical values, none of the
-// per-lag mean/energy rework). Periodicity must be sustained, so
-// counting stops at the first missing harmonic; harmonics the series
-// is too short to verify cannot be counted.
+// targeted autocorrelation computations on the series, which reuse the
+// centered copy and energy the correlogram pass just left in the
+// workspace. Periodicity must be sustained, so counting stops at the
+// first missing harmonic; harmonics the series is too short to verify
+// cannot be counted.
 func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfig) int {
 	count := 0
 	for m := 1; ; m++ {
@@ -475,19 +478,13 @@ func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfi
 			need *= 0.8
 		}
 		probe := func(lag int) bool {
-			var v float64
-			switch {
-			case lag < len(acf):
-				v = acf[lag]
-			case cfg.Workspace != nil:
-				// The workspace's centered buffer still holds this
-				// series: analyzeSeries probes harmonics immediately
-				// after its Autocorrelogram call.
-				v = cfg.Workspace.CenteredAutocorrelation(lag)
-			default:
-				v = stats.Autocorrelation(series, lag)
+			if lag < len(acf) {
+				return acf[lag] >= need
 			}
-			return v >= need
+			// The workspace's centered buffer still holds this series:
+			// analyzeSeries probes harmonics immediately after its
+			// Autocorrelogram call.
+			return cfg.Workspace.CenteredAutocorrelation(lag) >= need
 		}
 		// The harmonic passes iff any lag in the band clears need — a
 		// property of the set of band lags, indifferent to scan order.
@@ -539,6 +536,13 @@ func countHarmonics(series, acf []float64, fundamental int, cfg OscillationConfi
 func AnalyzeOscillationWindows(train *trace.Train, start, end, window uint64, cfg OscillationConfig) []OscillationAnalysis {
 	if train == nil || window == 0 || end <= start {
 		return nil
+	}
+	if cfg.Workspace == nil {
+		// One workspace for the whole sweep: its buffers and twiddle
+		// table serve every window instead of being re-sized per call.
+		ws := borrowWorkspace()
+		defer wsPool.Put(ws)
+		cfg.Workspace = ws
 	}
 	var out []OscillationAnalysis
 	for ws := start; ws < end; ws += window {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cchunter/internal/stats"
@@ -292,5 +293,58 @@ func TestDominantCouple(t *testing.T) {
 	tr.Append(trace.Event{Cycle: 13, Actor: 6, Victim: trace.NoContext}) // victimless: ignored
 	if got := dominantCouple(tr); got != [2]uint8{2, 5} {
 		t.Errorf("dominant couple = %v", got)
+	}
+}
+
+// sameAnalyses reports whether two window sweeps are bit-identical,
+// correlogram and peak values compared by their IEEE bits.
+func sameAnalyses(a, b []OscillationAnalysis) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Pair != y.Pair || x.FundamentalLag != y.FundamentalLag || x.Harmonics != y.Harmonics ||
+			x.Events != y.Events || x.Detected != y.Detected || !bitsEq(x.PeakValue, y.PeakValue) ||
+			len(x.Autocorrelogram) != len(y.Autocorrelogram) || len(x.Peaks) != len(y.Peaks) {
+			return false
+		}
+		for p := range x.Autocorrelogram {
+			if !bitsEq(x.Autocorrelogram[p], y.Autocorrelogram[p]) {
+				return false
+			}
+		}
+		for p := range x.Peaks {
+			if x.Peaks[p].Lag != y.Peaks[p].Lag || !bitsEq(x.Peaks[p].Value, y.Peaks[p].Value) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestWindowSweepWorkspaceIndependent: a sweep borrowing a pooled
+// workspace returns the same bits as one run on a caller-supplied
+// workspace, whatever sizes that workspace served before.
+func TestWindowSweepWorkspaceIndependent(t *testing.T) {
+	tr := noisyChannelTrain(12, 512, 100, 0.1, 5)
+	end := tr.Events()[tr.Len()-1].Cycle + 1
+	for _, raw := range []bool{false, true} {
+		cfg := DefaultOscillationConfig(8)
+		cfg.RawPairSeries = raw
+		ws := stats.NewWorkspace()
+		for _, window := range []uint64{end, end / 3, end / 8, end / 2} {
+			pooled := AnalyzeOscillationWindows(tr, 0, end, window, cfg)
+			own := cfg
+			own.Workspace = ws
+			supplied := AnalyzeOscillationWindows(tr, 0, end, window, own)
+			if len(pooled) == 0 {
+				t.Fatalf("raw=%v window=%d: no windows analyzed", raw, window)
+			}
+			if !sameAnalyses(pooled, supplied) {
+				t.Errorf("raw=%v window=%d: pooled and supplied workspaces disagree", raw, window)
+			}
+		}
 	}
 }

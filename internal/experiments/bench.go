@@ -53,20 +53,23 @@ type BenchReport struct {
 	Figures       []BenchFigure `json:"figures"`
 }
 
-// Calibrate times the reference workload: a paper-scale FFT
-// autocorrelation (n=65536, maxLag=4096), best of three. It exercises
-// the same arithmetic the detection pipeline leans on, so its runtime
-// tracks the machine speed that matters for the figures.
+// Calibrate times the reference workload: the naive autocorrelogram
+// sum (n=16384, maxLag=512), best of three. It is floating-point
+// multiply-add work like the detection pipeline's, so its runtime
+// tracks the machine speed that matters for the figures. It must not
+// be code the pipeline's optimizations touch: a faster calibration
+// kernel would read as a slower machine and flag every figure as
+// regressed, and a slower one would hide real regressions. The naive
+// sum is the FFT path's test oracle, kept as the plain loop on purpose.
 func Calibrate() int64 {
-	xs := make([]float64, 65536)
+	xs := make([]float64, 16384)
 	for i := range xs {
 		xs[i] = float64(i%17) - 8
 	}
-	w := stats.NewWorkspace()
 	best := int64(0)
 	for rep := 0; rep < 3; rep++ {
 		t0 := time.Now()
-		w.Autocorrelogram(xs, 4096)
+		stats.AutocorrelogramNaive(xs, 512)
 		ns := time.Since(t0).Nanoseconds()
 		if best == 0 || ns < best {
 			best = ns

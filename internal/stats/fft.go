@@ -39,11 +39,14 @@ func useFFT(n, maxLag int) bool {
 	return n*(maxLag+1) > fftCostFactor*l*logL
 }
 
-// fftRadix2 runs an in-place radix-2 FFT over the complex series
-// (re, im), whose length must be a power of two. The twiddle table
-// (twre, twim) holds e^{-2πik/L} for k in [0, L/2); invert selects the
-// inverse transform (conjugated twiddles plus the 1/L scale).
-func fftRadix2(re, im, twre, twim []float64, invert bool) {
+// fftRadix2 runs an in-place forward radix-2 FFT over the complex
+// series (re, im), whose length must be a power of two. The twiddle
+// table (twre, twim) holds e^{-2πik/T} for k in [0, T/2), where T is
+// any power of two at least len(re): a smaller transform reads every
+// (T/len)-th entry, the same value a table built for its own size
+// holds, since scaling k and T by a common power of two leaves
+// k/T — and so the table entry — bit-identical.
+func fftRadix2(re, im, twre, twim []float64) {
 	n := len(re)
 	// Bit-reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
@@ -57,29 +60,32 @@ func fftRadix2(re, im, twre, twim []float64, invert bool) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
+	// First stage: every twiddle is 1, so the butterflies need no
+	// multiplications.
+	for i := 0; i+1 < n; i += 2 {
+		ar, ai, br, bi := re[i], im[i], re[i+1], im[i+1]
+		re[i], im[i], re[i+1], im[i+1] = ar+br, ai+bi, ar-br, ai-bi
+	}
+	tableN := 2 * len(twre)
+	for length := 4; length <= n; length <<= 1 {
 		half := length >> 1
-		stride := n / length
+		stride := tableN / length
 		for start := 0; start < n; start += length {
-			for k := 0; k < half; k++ {
+			// Reslicing each block's two halves lets the compiler drop
+			// the bounds checks from the butterfly loop.
+			ur, ui := re[start:start+half], im[start:start+half]
+			vr, vi := re[start+half:start+length], im[start+half:start+length]
+			vi = vi[:len(vr)]
+			ui = ui[:len(vr)]
+			ur = ur[:len(vr)]
+			for k := range vr {
 				wr := twre[k*stride]
 				wi := twim[k*stride]
-				if invert {
-					wi = -wi
-				}
-				i, j := start+k, start+k+half
-				vr := re[j]*wr - im[j]*wi
-				vi := re[j]*wi + im[j]*wr
-				re[j], im[j] = re[i]-vr, im[i]-vi
-				re[i], im[i] = re[i]+vr, im[i]+vi
+				tr := vr[k]*wr - vi[k]*wi
+				ti := vr[k]*wi + vi[k]*wr
+				vr[k], vi[k] = ur[k]-tr, ui[k]-ti
+				ur[k], ui[k] = ur[k]+tr, ui[k]+ti
 			}
-		}
-	}
-	if invert {
-		inv := 1 / float64(n)
-		for i := range re {
-			re[i] *= inv
-			im[i] *= inv
 		}
 	}
 }
@@ -94,9 +100,9 @@ func fftRadix2(re, im, twre, twim []float64, invert bool) {
 // The zero value is ready to use. A Workspace is not safe for
 // concurrent use; give each goroutine its own.
 type Workspace struct {
-	re, im     []float64 // FFT scratch, length = padded transform size
-	twre, twim []float64 // twiddle table e^{-2πik/L}, length L/2
-	twN        int       // transform size the table is built for
+	re, im     []float64 // FFT scratch, half the padded length L
+	twre, twim []float64 // twiddle table e^{-2πik/T}, length T/2
+	twN        int       // largest padded length T the table serves
 	centered   []float64 // mean-centered copy of the input
 	cden       float64   // energy Σ(x-mean)² of the centered copy
 	acf        []float64 // output buffer, returned to the caller
@@ -135,16 +141,17 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ensureFFT sizes the complex scratch and twiddle table for transform
-// length nfft (a power of two).
+// ensureFFT sizes the complex scratch for a padded length nfft (a
+// power of two, at least 2), which runs as an nfft/2-point transform,
+// and makes sure the twiddle table covers nfft. The table only ever
+// grows: one built for the largest length seen serves every smaller
+// one by stride, so window sweeps that alternate transform sizes never
+// rebuild it.
 func (w *Workspace) ensureFFT(nfft int) {
-	w.re = grow(w.re, nfft)
-	w.im = grow(w.im, nfft)
-	if w.twN != nfft {
+	w.re = grow(w.re, nfft/2)
+	w.im = grow(w.im, nfft/2)
+	if w.twN < nfft {
 		half := nfft / 2
-		if half < 1 {
-			half = 1
-		}
 		w.twre = grow(w.twre, half)
 		w.twim = grow(w.twim, half)
 		for k := 0; k < half; k++ {
@@ -277,27 +284,76 @@ func (w *Workspace) CenteredAutocorrelation(p int) float64 {
 // p <= maxLag. Both paths normalize by the directly computed energy
 // den = Σd² (not the FFT's own c[0]), so they agree to roundoff and
 // degrade identically on near-constant series.
+//
+// The series is real, so both transforms run at half length M = L/2.
+// The forward pass packs even samples into re and odd samples into im,
+// transforms once, and a split step recovers the power spectrum
+// |X[k]|² for k = 0..M. That spectrum is real and even, so the inverse
+// transform's output is real too: the same split run backwards folds
+// the spectrum into M complex bins whose inverse transform carries the
+// even lags in re and the odd lags in im. The inverse is taken as the
+// conjugate of a forward transform of the conjugate, so one kernel
+// serves both directions.
 func (w *Workspace) fftAutocorr(centered []float64, den float64, out []float64) {
 	n := len(centered)
 	maxLag := len(out) - 1
-	nfft := nextPow2(n + maxLag)
+	nfft := nextPow2(n + maxLag) // >= 2: a non-constant series has n >= 2
 	w.ensureFFT(nfft)
+	m := nfft / 2
 	re, im := w.re, w.im
-	copy(re, centered)
-	for i := n; i < nfft; i++ {
-		re[i] = 0
+	for i := range re {
+		var a, b float64
+		if 2*i < n {
+			a = centered[2*i]
+		}
+		if 2*i+1 < n {
+			b = centered[2*i+1]
+		}
+		re[i], im[i] = a, b
 	}
-	for i := range im {
-		im[i] = 0
+	fftRadix2(re, im, w.twre, w.twim)
+	// Split, square and fold bin pairs (k, m-k) in place. With a = Z[k]
+	// and b = Z[m-k] of the packed transform, the even- and odd-sample
+	// spectra are E = a + b̄ and O = -i(a - b̄) (both doubled), so
+	// X[k] = (E + w^k·O)/2 and X[m-k] is the conjugate of (E - w^k·O)/2.
+	// The fold turns the power pair (P[k], P[m-k]) into the packed
+	// inverse input s + i·d·w^-k at k and s + i·d·w^k at m-k, with
+	// s = P[k]+P[m-k] and d = P[k]-P[m-k], stored conjugated for the
+	// forward-kernel inverse. Every factor of two lands in the final
+	// scale below.
+	stride := w.twN / nfft
+	for k := 0; k <= m/2; k++ {
+		j := m - k
+		bi := j
+		if bi == m {
+			bi = 0 // Z is m-periodic: Z[m] = Z[0]
+		}
+		ar, ai, br, bim := re[k], im[k], re[bi], im[bi]
+		er, ei := ar+br, ai-bim
+		or, oi := ai+bim, br-ar
+		wr, wi := w.twre[k*stride], w.twim[k*stride]
+		tr := wr*or - wi*oi
+		ti := wr*oi + wi*or
+		pk := (er+tr)*(er+tr) + (ei+ti)*(ei+ti)
+		pj := (er-tr)*(er-tr) + (ei-ti)*(ei-ti)
+		s, d := pk+pj, pk-pj
+		if j < m && j != k {
+			re[j], im[j] = s-d*wi, -d*wr
+		}
+		re[k], im[k] = s+d*wi, -d*wr
 	}
-	fftRadix2(re, im, w.twre, w.twim, false)
-	for i := 0; i < nfft; i++ {
-		re[i] = re[i]*re[i] + im[i]*im[i] // power spectrum
-		im[i] = 0
-	}
-	fftRadix2(re, im, w.twre, w.twim, true)
+	fftRadix2(re, im, w.twre, w.twim)
+	// The fold carries a factor 8 (four from squaring the doubled E and
+	// O, two from the unhalved s and d); the inverse transform's 1/m
+	// joins it. Both are powers of two, so folding them into the
+	// divisor costs no precision.
+	scale := float64(8*m) * den
 	for p := 0; p <= maxLag; p++ {
-		out[p] = re[p] / den
+		if p&1 == 0 {
+			out[p] = re[p>>1] / scale
+		} else {
+			out[p] = -im[p>>1] / scale
+		}
 	}
 }
 

@@ -179,3 +179,63 @@ func FuzzAutocorrFFTMatchesNaive(f *testing.F) {
 		}
 	})
 }
+
+// TestTwiddleTableServesSmallerTransformsByStride: a workspace whose
+// table was built for a larger transform serves smaller ones by stride.
+// Alternating 4096-, 1024- and 2048-point transforms on one workspace
+// returns the same bits as a fresh workspace sized for each transform.
+func TestTwiddleTableServesSmallerTransformsByStride(t *testing.T) {
+	shared := NewWorkspace()
+	r := NewRNG(11)
+	for round := 0; round < 2; round++ {
+		for _, nfft := range []int{4096, 1024, 2048} {
+			n, maxLag := nfft/2+37, nfft/4
+			if got := nextPow2(n + maxLag); got != nfft {
+				t.Fatalf("fixture pads to %d, want %d", got, nfft)
+			}
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Cos(float64(i)/5) + r.NormFloat64()/4
+			}
+			centered := make([]float64, n)
+			den := centerInto(centered, xs)
+			got := make([]float64, maxLag+1)
+			want := make([]float64, maxLag+1)
+			shared.fftAutocorr(centered, den, got)
+			NewWorkspace().fftAutocorr(centered, den, want)
+			for p := range want {
+				if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+					t.Fatalf("round %d, %d-point: lag %d = %v, fresh workspace gives %v",
+						round, nfft, p, got[p], want[p])
+				}
+			}
+		}
+	}
+	if shared.twN != 4096 {
+		t.Errorf("shared table built for %d points, want the largest (4096)", shared.twN)
+	}
+}
+
+// TestRealInputFFTTinyAndOddLengths: the half-length real-input
+// transform packs sample pairs, so tiny series and odd lengths (whose
+// last sample has no partner) must still match the naive sum at every
+// lag up to n-1.
+func TestRealInputFFTTinyAndOddLengths(t *testing.T) {
+	r := NewRNG(3)
+	for _, n := range []int{1, 2, 3, 5, 7, 9, 31, 33, 101, 255, 1001, 4097} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.NormFloat64() + float64(i%3)
+		}
+		for _, maxLag := range []int{0, 1, n / 2, n - 1} {
+			want := AutocorrelogramNaive(xs, maxLag)
+			got := forceFFT(xs, maxLag)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d maxLag=%d: len %d vs %d", n, maxLag, len(got), len(want))
+			}
+			if d := maxAbsDiff(got, want); d > 1e-9 {
+				t.Errorf("n=%d maxLag=%d: real-input FFT vs naive diverge by %g", n, maxLag, d)
+			}
+		}
+	}
+}
