@@ -308,7 +308,7 @@ func BenchmarkTrackerMicro(b *testing.B) {
 				addr := uint64(rng.Intn(1<<15)) << 6
 				r := c.Access(addr, uint8(rng.Intn(8)))
 				tr.Observe(conflict.Observation{
-					LineAddr: r.LineAddr, Set: r.Set, Hit: r.Hit,
+					LineAddr: r.LineAddr, Node: r.Node, Set: r.Set, Hit: r.Hit,
 					Evicted: r.Evicted, EvictedLine: r.EvictedLine, EvictedOwner: r.EvictedOwner,
 				})
 			}
@@ -319,23 +319,22 @@ func BenchmarkTrackerMicro(b *testing.B) {
 // BenchmarkConflictTracker pits the flat, slab-allocated trackers
 // against the retained map-based reference build of the ideal LRU
 // stack on identical pre-generated observation streams (no cache in
-// the loop, so the numbers isolate tracker cost). The flat trackers
+// the loop, so the numbers isolate tracker cost). The stream is
+// recorded from a cache of the trackers' capacity, so each pass over
+// it is frame-consistent for the generational tracker. The flat trackers
 // must report 0 allocs/op; the reference shows what the rewrite
 // removed.
 func BenchmarkConflictTracker(b *testing.B) {
 	const capacity = 1 << 12
+	c := cache.MustNew(cache.Config{SizeBytes: capacity * 64, LineBytes: 64, Ways: 8, HitLatency: 12})
 	stream := make([]conflict.Observation, 1<<16)
 	rng := stats.NewRNG(11)
 	for i := range stream {
-		o := conflict.Observation{
-			LineAddr: uint64(rng.Intn(4 * capacity)),
-			Hit:      rng.Intn(3) == 0,
+		r := c.Access(uint64(rng.Intn(2*capacity))<<6, 0)
+		stream[i] = conflict.Observation{
+			LineAddr: r.LineAddr, Node: r.Node, Set: r.Set, Hit: r.Hit,
+			Evicted: r.Evicted, EvictedLine: r.EvictedLine, EvictedOwner: r.EvictedOwner,
 		}
-		if !o.Hit && rng.Intn(2) == 0 {
-			o.Evicted = true
-			o.EvictedLine = uint64(rng.Intn(4 * capacity))
-		}
-		stream[i] = o
 	}
 	trackers := map[string]conflict.Tracker{
 		"ideal-flat":          conflict.MustNewIdeal(capacity),

@@ -63,12 +63,21 @@ func mix64(x uint64) uint64 {
 }
 
 // indexes derives the k bit positions for key via double hashing
-// (Kirsch-Mitzenmacher): position_i = h1 + i*h2 mod nbits.
+// (Kirsch-Mitzenmacher): position_i = h1 + i*h2 mod nbits. For a
+// power-of-two nbits (the tracker's default sizes) the modulo is the
+// identical mask, which spares a 64-bit divide per position.
 func (f *Filter) indexes(key uint64, out []uint64) []uint64 {
 	h1 := mix64(key)
 	h2 := mix64(key ^ 0x9e3779b97f4a7c15)
 	h2 |= 1 // ensure odd so positions cycle through the table
 	out = out[:0]
+	if f.nbits&(f.nbits-1) == 0 {
+		mask := f.nbits - 1
+		for i := 0; i < f.hashes; i++ {
+			out = append(out, (h1+uint64(i)*h2)&mask)
+		}
+		return out
+	}
 	for i := 0; i < f.hashes; i++ {
 		out = append(out, (h1+uint64(i)*h2)%f.nbits)
 	}
@@ -150,7 +159,7 @@ func (f *Filter) Hashes() int { return f.hashes }
 func (f *Filter) FillRatio() float64 {
 	var set int
 	for _, w := range f.bits {
-		set += popcount(w)
+		set += bits.OnesCount64(w)
 	}
 	return float64(set) / float64(f.nbits)
 }
@@ -193,15 +202,6 @@ func expNeg(x float64) float64 {
 		sum *= sum
 	}
 	return sum
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // String describes the filter configuration and fill state.

@@ -162,3 +162,43 @@ func TestString(t *testing.T) {
 		t.Error("String empty")
 	}
 }
+
+// modPositions is the double-hash position rule written with the plain
+// modulo, the reference for both of indexes' paths.
+func modPositions(key, nbits uint64, k int) []uint64 {
+	h1 := mix64(key)
+	h2 := mix64(key^0x9e3779b97f4a7c15) | 1
+	out := make([]uint64, k)
+	for i := range out {
+		out[i] = (h1 + uint64(i)*h2) % nbits
+	}
+	return out
+}
+
+// TestProbePositionsMatchModulo pins the power-of-two mask path to the
+// modulo it replaces, and checks that a 192-bit filter, where the mask
+// would be wrong, still reduces by modulo.
+func TestProbePositionsMatchModulo(t *testing.T) {
+	r := stats.NewRNG(9)
+	for _, nbits := range []int{64, 128, 1024, 16384, 192} {
+		for k := 1; k <= 4; k++ {
+			f := MustNew(nbits, k)
+			maskDiffers := false
+			for i := 0; i < 2000; i++ {
+				key := r.Uint64()
+				got := f.AppendProbes(nil, key)
+				want := modPositions(key, uint64(nbits), k)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("nbits %d k %d key %x: position %d = %d, want %d", nbits, k, key, j, got[j], want[j])
+					}
+				}
+				h1 := mix64(key)
+				maskDiffers = maskDiffers || h1&uint64(nbits-1) != h1%uint64(nbits)
+			}
+			if pow2 := nbits&(nbits-1) == 0; pow2 == maskDiffers {
+				t.Errorf("nbits %d: masking differs from modulo = %v, want %v", nbits, maskDiffers, !pow2)
+			}
+		}
+	}
+}

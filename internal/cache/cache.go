@@ -185,6 +185,10 @@ type Result struct {
 	Set uint32
 	// LineAddr is the full line address (addr >> log2(LineBytes)).
 	LineAddr uint64
+	// Node is the block frame (set*Ways+way) that holds the line after
+	// the access: the way that hit, or the way the miss installed into.
+	// On an eviction it is the displaced block's frame.
+	Node int32
 	// Evicted reports whether installing the block displaced a valid
 	// block.
 	Evicted bool
@@ -264,6 +268,7 @@ func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
 			ways[i] = enc
 			c.touch(set, i)
 			res.Hit = true
+			res.Node = int32(setBase + i)
 			c.hits++
 			return res
 		}
@@ -296,6 +301,7 @@ func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
 	}
 	ways[victim] = enc
 	c.touch(set, victim)
+	res.Node = int32(setBase + victim)
 	return res
 }
 

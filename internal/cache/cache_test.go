@@ -193,3 +193,85 @@ func TestStatsEvictionsCount(t *testing.T) {
 		t.Errorf("stats: %+v (want 5 misses, 3 evictions)", s)
 	}
 }
+
+// frameOf returns the frame (set*Ways+way) holding lineAddr, read
+// straight from the tag array.
+func frameOf(c *Cache, lineAddr uint64) (int32, bool) {
+	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
+	for w := 0; w < c.cfg.Ways; w++ {
+		if tagOf(c.tags[setBase+w]) == tagKey(lineAddr) {
+			return int32(setBase + w), true
+		}
+	}
+	return 0, false
+}
+
+func TestResultNodeNamesFrame(t *testing.T) {
+	c := small() // 4 sets × 2 ways
+	a := c.AddrForSet(1, 0, 1)
+	b := c.AddrForSet(1, 1, 1)
+	d := c.AddrForSet(1, 2, 1)
+	ra := c.Access(a, 0)
+	rb := c.Access(b, 0)
+	if ra.Node != 2 || rb.Node != 3 {
+		t.Fatalf("installs into empty set 1 landed in frames %d, %d; want 2, 3", ra.Node, rb.Node)
+	}
+	if r := c.Access(a, 1); !r.Hit || r.Node != ra.Node {
+		t.Errorf("hit on a: hit=%v node=%d, want hit in frame %d", r.Hit, r.Node, ra.Node)
+	}
+	// b is now LRU: d evicts it and takes its frame.
+	if r := c.Access(d, 0); !r.Evicted || r.EvictedLine != b>>6 || r.Node != rb.Node {
+		t.Errorf("miss on d: evicted=%v line=%x node=%d, want b's line %x in frame %d",
+			r.Evicted, r.EvictedLine, r.Node, b>>6, rb.Node)
+	}
+}
+
+// TestResultNodeProperties checks Result.Node against the tag array on
+// a random stream with partitioned misses: every access names the
+// frame that now holds its line, a resident line keeps its frame
+// across hits, an eviction installs into the victim's frame, any other
+// miss into an empty frame, and a partitioned miss lands inside its
+// way range.
+func TestResultNodeProperties(t *testing.T) {
+	c := MustNew(Config{SizeBytes: 32 * 64, LineBytes: 64, Ways: 4, HitLatency: 1}) // 8 sets
+	r := stats.NewRNG(13)
+	frames := map[uint64]int32{} // resident line -> frame
+	for i := 0; i < 20000; i++ {
+		lo, hi := 0, c.Ways()
+		if r.Intn(2) == 0 {
+			lo = r.Intn(c.Ways())
+			hi = lo + 1 + r.Intn(c.Ways()-lo)
+		}
+		res := c.AccessInWays(uint64(r.Intn(96))<<6, uint8(r.Intn(4)), lo, hi)
+		if f, ok := frameOf(c, res.LineAddr); !ok || f != res.Node {
+			t.Fatalf("access %d: Node %d, line sits in frame %d (resident %v)", i, res.Node, f, ok)
+		}
+		if want := int32(res.Set) * int32(c.Ways()); res.Node < want || res.Node >= want+int32(c.Ways()) {
+			t.Fatalf("access %d: Node %d outside set %d", i, res.Node, res.Set)
+		}
+		prev, resident := frames[res.LineAddr]
+		switch {
+		case res.Hit:
+			if !resident || prev != res.Node {
+				t.Fatalf("access %d: hit moved line from frame %d to %d", i, prev, res.Node)
+			}
+		case res.Evicted:
+			if f := frames[res.EvictedLine]; f != res.Node {
+				t.Fatalf("access %d: install into frame %d, victim was in frame %d", i, res.Node, f)
+			}
+			delete(frames, res.EvictedLine)
+		default:
+			for line, f := range frames {
+				if f == res.Node {
+					t.Fatalf("access %d: eviction-free install into frame %d held by line %x", i, f, line)
+				}
+			}
+		}
+		if !res.Hit {
+			if way := int(res.Node) - int(res.Set)*c.Ways(); way < lo || way >= hi {
+				t.Fatalf("access %d: miss installed into way %d outside [%d, %d)", i, way, lo, hi)
+			}
+		}
+		frames[res.LineAddr] = res.Node
+	}
+}

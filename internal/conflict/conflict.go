@@ -17,13 +17,15 @@
 // them.
 //
 // Observe sits on the simulator's per-access hot path, so both
-// trackers use flat, index-addressed storage: all state lives in
-// slices sized at construction, the LRU stack is an intrusive
-// doubly-linked list over slab indexes, and lookups go through an
-// open-addressing hash index with linear probing and backward-shift
-// deletion. After construction, Observe performs no allocations.
-// See DESIGN.md §12 for the layout and the equivalence argument
-// against the map-based build (kept as IdealReference).
+// trackers use flat, index-addressed storage sized at construction;
+// after construction, Observe performs no allocations. The ideal
+// tracker's LRU stack is an intrusive doubly-linked list over slab
+// indexes with an open-addressing line index. The practical tracker
+// keeps its generation bits where the paper's hardware does, in the
+// tracked cache's block frames: four bit columns indexed by
+// Observation.Node. That makes it exact only for frame-consistent
+// streams (see Observation); the ideal tracker accepts any stream.
+// See DESIGN.md §12 for the layouts and the equivalence arguments.
 package conflict
 
 import (
@@ -37,9 +39,20 @@ var ErrBadConfig = errors.New("conflict: bad configuration")
 
 // Observation describes one access to the tracked cache, as reported
 // by the cache model.
+//
+// A stream of observations is frame-consistent when it is what one
+// cache.Cache reports: Node names the frame holding LineAddr after the
+// access, a hit names the frame the line already occupies, and a miss
+// installs into a frame that is either still empty or whose occupant
+// the same observation reports as EvictedLine. Lines leave frames only
+// through reported evictions.
 type Observation struct {
 	// LineAddr is the full line address of the accessed block.
 	LineAddr uint64
+	// Node is the block frame (set*Ways+way) that holds the accessed
+	// block after the access, as in cache.Result.Node. On an eviction
+	// it is also the displaced block's frame.
+	Node int32
 	// Set is the set index the block maps to.
 	Set uint32
 	// Ctx is the accessing hardware context (the replacer on a miss).
@@ -56,6 +69,8 @@ type Observation struct {
 }
 
 // Tracker decides, for every access, whether it is a conflict miss.
+// Generational requires frame-consistent streams; Ideal is exact for
+// any stream and ignores Node.
 type Tracker interface {
 	// Observe consumes one access and reports whether it was a
 	// conflict miss: the block missed although it was recently enough
@@ -68,9 +83,9 @@ type Tracker interface {
 }
 
 // mixLine is the splitmix64 finalizer, used to spread line addresses
-// over the open-addressing tables. Line addresses are highly regular
-// (consecutive sets, a handful of tags), so the raw value would
-// cluster badly.
+// over the ideal tracker's open-addressing index. Line addresses are
+// highly regular (consecutive sets, a handful of tags), so the raw
+// value would cluster badly.
 func mixLine(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

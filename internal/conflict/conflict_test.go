@@ -8,23 +8,47 @@ import (
 	"cchunter/internal/stats"
 )
 
+// observationOf turns one cache access result into the tracker's
+// observation, frame included.
+func observationOf(r cache.Result, ctx uint8) Observation {
+	return Observation{
+		LineAddr:     r.LineAddr,
+		Node:         r.Node,
+		Set:          r.Set,
+		Ctx:          ctx,
+		Hit:          r.Hit,
+		Evicted:      r.Evicted,
+		EvictedLine:  r.EvictedLine,
+		EvictedOwner: r.EvictedOwner,
+	}
+}
+
 // driveCache replays a sequence of (addr, ctx) accesses through a real
 // cache model feeding the tracker, returning per-access conflict flags.
 func driveCache(c *cache.Cache, tr Tracker, accesses [][2]uint64) []bool {
 	out := make([]bool, len(accesses))
 	for i, a := range accesses {
-		r := c.Access(a[0], uint8(a[1]))
-		out[i] = tr.Observe(Observation{
-			LineAddr:     r.LineAddr,
-			Set:          r.Set,
-			Ctx:          uint8(a[1]),
-			Hit:          r.Hit,
-			Evicted:      r.Evicted,
-			EvictedLine:  r.EvictedLine,
-			EvictedOwner: r.EvictedOwner,
-		})
+		out[i] = tr.Observe(observationOf(c.Access(a[0], uint8(a[1])), uint8(a[1])))
 	}
 	return out
+}
+
+// roundRobin feeds tr n cold misses of lines base, base+1, ... placed
+// round-robin into frames [lo, hi), each evicting the line placed in
+// its frame one lap earlier: a frame-consistent stream for frames that
+// start out empty. It returns the line left in each frame.
+func roundRobin(tr Tracker, base uint64, n, lo, hi int) map[int32]uint64 {
+	held := map[int32]uint64{}
+	for i := 0; i < n; i++ {
+		node := int32(lo + i%(hi-lo))
+		o := Observation{LineAddr: base + uint64(i), Node: node}
+		if prev, ok := held[node]; ok {
+			o.Evicted, o.EvictedLine = true, prev
+		}
+		tr.Observe(o)
+		held[node] = o.LineAddr
+	}
+	return held
 }
 
 func smallCache() *cache.Cache {
@@ -126,7 +150,7 @@ func TestGenerationalTurnover(t *testing.T) {
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 8})
 	// threshold = 2: every 2 distinct blocks advance a generation.
 	for i := uint64(0); i < 8; i++ {
-		g.Observe(Observation{LineAddr: i, Hit: false})
+		g.Observe(Observation{LineAddr: i, Node: int32(i), Hit: false})
 	}
 	if g.Generations() != 4 {
 		t.Errorf("generations = %d, want 4", g.Generations())
@@ -137,20 +161,18 @@ func TestGenerationalForgetsOldEvictions(t *testing.T) {
 	// An eviction recorded in a generation must stop causing conflicts
 	// once that generation is discarded (4 turnovers later).
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 8, BloomBitsPerGen: 4096})
-	g.Observe(Observation{LineAddr: 100, Hit: false})
-	// Evict line 100 (recorded in current generation's bloom).
-	g.Observe(Observation{LineAddr: 101, Hit: false, Evicted: true, EvictedLine: 100})
-	// Re-access now: conflict detected.
-	if !g.Observe(Observation{LineAddr: 100, Hit: false}) {
+	g.Observe(Observation{LineAddr: 100, Node: 0, Hit: false})
+	// Evict line 100 from frame 0 (recorded in current generation's bloom).
+	g.Observe(Observation{LineAddr: 101, Node: 0, Hit: false, Evicted: true, EvictedLine: 100})
+	// Re-access now, into empty frame 1: conflict detected.
+	if !g.Observe(Observation{LineAddr: 100, Node: 1, Hit: false}) {
 		t.Fatal("fresh premature eviction not flagged")
 	}
-	// Note: line 100 is now resident again. Evict it once more but this
-	// time cycle all four generations before re-accessing.
-	g.Observe(Observation{LineAddr: 102, Hit: false, Evicted: true, EvictedLine: 100})
-	for i := uint64(0); i < 20; i++ {
-		g.Observe(Observation{LineAddr: 1000 + i, Hit: false})
-	}
-	if g.Observe(Observation{LineAddr: 100, Hit: false}) {
+	// Line 100 is resident again. Evict it once more but this time
+	// cycle all four generations before re-accessing.
+	g.Observe(Observation{LineAddr: 102, Node: 1, Hit: false, Evicted: true, EvictedLine: 100})
+	held := roundRobin(g, 1000, 20, 2, 8)
+	if g.Observe(Observation{LineAddr: 100, Node: 2, Hit: false, Evicted: true, EvictedLine: held[2]}) {
 		t.Error("eviction survived generation turnover")
 	}
 }
@@ -201,9 +223,7 @@ func TestGenerationalRandomTrafficLowConflictRate(t *testing.T) {
 	n := 50000
 	for i := 0; i < n; i++ {
 		addr := uint64(r.Intn(1<<22)) << 6 // 4M lines >> cache capacity
-		res := c.Access(addr, 0)
-		if g.Observe(Observation{LineAddr: res.LineAddr, Set: res.Set, Hit: res.Hit,
-			Evicted: res.Evicted, EvictedLine: res.EvictedLine}) {
+		if g.Observe(observationOf(c.Access(addr, 0), 0)) {
 			flagged++
 		}
 	}
@@ -214,10 +234,10 @@ func TestGenerationalRandomTrafficLowConflictRate(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	for name, tr := range trackersUnderTest(8) {
-		tr.Observe(Observation{LineAddr: 1, Hit: false})
-		tr.Observe(Observation{LineAddr: 2, Hit: false, Evicted: true, EvictedLine: 1})
+		tr.Observe(Observation{LineAddr: 1, Node: 0, Hit: false})
+		tr.Observe(Observation{LineAddr: 2, Node: 0, Hit: false, Evicted: true, EvictedLine: 1})
 		tr.Reset()
-		if tr.Observe(Observation{LineAddr: 1, Hit: false}) {
+		if tr.Observe(Observation{LineAddr: 1, Node: 1, Hit: false}) {
 			t.Errorf("%s: conflict detected after Reset", name)
 		}
 	}

@@ -3,15 +3,17 @@ package conflict
 import (
 	"testing"
 
+	"cchunter/internal/cache"
 	"cchunter/internal/stats"
 )
 
 // flat_test.go pins the flat, index-addressed trackers against
 // map-based builds of the same algorithms, observation by
-// observation, on adversarial random streams. The streams do not
-// mirror any cache geometry on purpose: the trackers must be exact
-// for arbitrary Observation sequences, not just those a well-formed
-// cache produces.
+// observation. Ideal must be exact for arbitrary Observation
+// sequences, so its streams mirror no cache geometry on purpose.
+// Generational keys its generation bits by block frame and is exact
+// only for frame-consistent streams (see Observation), so its streams
+// come from a real cache.Cache, partitioned accesses included.
 
 // randomStream builds an adversarial observation stream: a working
 // set far larger than any tracker table, hits on never-seen lines,
@@ -73,15 +75,16 @@ func TestIdealMatchesReferenceAfterReset(t *testing.T) {
 	}
 }
 
-// generationalOracle replays the flat tracker's algorithm over a map
-// residency table (the pre-rewrite representation), sharing nothing
-// with the flat implementation but the Bloom filters' geometry.
+// generationalOracle replays the practical tracker's algorithm over a
+// line-keyed map residency table (the pre-frame representation),
+// sharing nothing with Generational but the Bloom filters' geometry.
 type generationalOracle struct {
-	g         *Generational
-	resident  map[uint64]uint8
-	current   int
-	accessed  int
-	conflicts uint64
+	g           *Generational
+	resident    map[uint64]uint8
+	current     int
+	accessed    int
+	conflicts   uint64
+	generations uint64
 }
 
 func newGenerationalOracle(cfg GenerationalConfig) *generationalOracle {
@@ -130,6 +133,7 @@ func (o *generationalOracle) observe(ob Observation) bool {
 			}
 			o.current = oldest
 			o.accessed = 0
+			o.generations++
 		}
 	}
 	return conflict
@@ -145,45 +149,101 @@ func (o *generationalOracle) latestGeneration(mask uint8) int {
 	return o.current
 }
 
-func TestGenerationalMatchesMapOracle(t *testing.T) {
-	for _, blocks := range []int{1, 3, 8, 64, 512} {
-		cfg := GenerationalConfig{TotalBlocks: blocks, BloomBitsPerGen: 4096}
-		flat := MustNewGenerational(cfg)
-		oracle := newGenerationalOracle(cfg)
-		// The oracle's filters belong to its inner tracker; keep them in
-		// lockstep by feeding it the same stream.
-		for i, ob := range randomStream(uint64(blocks)+7, 20000, 4*blocks+32) {
-			got, want := flat.Observe(ob), oracle.observe(ob)
-			if got != want {
-				t.Fatalf("blocks %d: observation %d: flat=%v oracle=%v", blocks, i, got, want)
-			}
+// oracleGeometries are the tracked caches of the differential tests:
+// TotalBlocks 1, 3, 8, 64 and 512.
+var oracleGeometries = []cache.Config{
+	{SizeBytes: 1 * 64, LineBytes: 64, Ways: 1, HitLatency: 1},
+	{SizeBytes: 3 * 64, LineBytes: 64, Ways: 3, HitLatency: 1},
+	{SizeBytes: 8 * 64, LineBytes: 64, Ways: 2, HitLatency: 1},
+	{SizeBytes: 64 * 64, LineBytes: 64, Ways: 8, HitLatency: 1},
+	{SizeBytes: 512 * 64, LineBytes: 64, Ways: 8, HitLatency: 1},
+}
+
+// cacheAccess is one access of a differential stream: a line address,
+// the accessing context, and the way range [lo, hi) a miss may
+// allocate into.
+type cacheAccess struct {
+	line   uint64
+	ctx    uint8
+	lo, hi int
+}
+
+// checkGenerationalAgainstOracle drives accesses through a cache of
+// geometry cfg and feeds every result to both the frame-keyed tracker
+// and the line-keyed oracle, comparing the conflict bit, Conflicts()
+// and Generations() after each observation.
+func checkGenerationalAgainstOracle(t testing.TB, cfg cache.Config, accesses []cacheAccess) {
+	t.Helper()
+	c := cache.MustNew(cfg)
+	gcfg := GenerationalConfig{TotalBlocks: c.NumBlocks(), BloomBitsPerGen: 4096}
+	flat := MustNewGenerational(gcfg)
+	oracle := newGenerationalOracle(gcfg)
+	for i, a := range accesses {
+		ob := observationOf(c.AccessInWays(a.line*uint64(cfg.LineBytes), a.ctx, a.lo, a.hi), a.ctx)
+		got, want := flat.Observe(ob), oracle.observe(ob)
+		if got != want {
+			t.Fatalf("blocks %d: observation %d (%+v): flat=%v oracle=%v", c.NumBlocks(), i, ob, got, want)
 		}
-		if flat.Conflicts() != oracle.conflicts {
-			t.Errorf("blocks %d: conflicts flat=%d oracle=%d", blocks, flat.Conflicts(), oracle.conflicts)
+		if flat.Conflicts() != oracle.conflicts || flat.Generations() != oracle.generations {
+			t.Fatalf("blocks %d: observation %d: conflicts flat=%d oracle=%d, generations flat=%d oracle=%d",
+				c.NumBlocks(), i, flat.Conflicts(), oracle.conflicts, flat.Generations(), oracle.generations)
 		}
 	}
 }
 
-// TestGenerationalResidencyBound pins the sizing invariant the flat
-// table relies on: live residency entries never exceed 4×threshold,
-// even on adversarial streams detached from any cache geometry.
-func TestGenerationalResidencyBound(t *testing.T) {
-	for _, blocks := range []int{1, 8, 64} {
-		g := MustNewGenerational(GenerationalConfig{TotalBlocks: blocks})
-		bound := numGenerations * g.threshold
-		for i, ob := range randomStream(uint64(blocks)+99, 30000, 1000) {
-			g.Observe(ob)
-			live := 0
-			for _, m := range g.masks {
-				if m != 0 {
-					live++
-				}
-			}
-			if live > bound {
-				t.Fatalf("blocks %d: observation %d: %d live entries exceed bound %d", blocks, i, live, bound)
-			}
+// randomAccesses builds a cache-bound stream over a working set of
+// `lines` lines with a hot subset, four contexts, and one access in
+// four restricted to a random way partition.
+func randomAccesses(seed uint64, n, lines, ways int) []cacheAccess {
+	r := stats.NewRNG(seed)
+	out := make([]cacheAccess, n)
+	for i := range out {
+		a := cacheAccess{line: uint64(r.Intn(lines)), ctx: uint8(r.Intn(4)), hi: ways}
+		if r.Intn(4) == 0 {
+			a.line = uint64(r.Intn(8))
 		}
+		if r.Intn(4) == 0 {
+			a.lo = r.Intn(ways)
+			a.hi = a.lo + 1 + r.Intn(ways-a.lo)
+		}
+		out[i] = a
 	}
+	return out
+}
+
+func TestGenerationalMatchesMapOracle(t *testing.T) {
+	for _, cfg := range oracleGeometries {
+		blocks := cfg.SizeBytes / cfg.LineBytes
+		checkGenerationalAgainstOracle(t, cfg, randomAccesses(uint64(blocks)+7, 20000, 4*blocks+32, cfg.Ways))
+	}
+}
+
+// FuzzGenerationalMatchesLineOracle decodes arbitrary bytes into a
+// cache geometry and an access stream and checks the frame-keyed
+// tracker against the line-keyed oracle on it.
+func FuzzGenerationalMatchesLineOracle(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{2, 0, 0, 0, 4, 0, 0, 8, 0, 0, 4, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 10, 1, 1, 74, 5, 2, 138, 9, 3, 10, 13, 0, 10, 1, 1})
+	f.Add([]byte{4, 255, 3, 17, 0, 0, 0, 128, 2, 33, 255, 3, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := oracleGeometries[int(data[0])%len(oracleGeometries)]
+		var accesses []cacheAccess
+		for b := data[1:]; len(b) >= 3; b = b[3:] {
+			// Ten line bits, two context bits, and a way partition in
+			// one access of four.
+			a := cacheAccess{line: uint64(b[0]) | uint64(b[1]&3)<<8, ctx: b[1] >> 2 & 3, hi: cfg.Ways}
+			if b[2]&3 == 0 {
+				a.lo = int(b[2]>>2) % cfg.Ways
+				a.hi = a.lo + 1 + int(b[2]>>5)%(cfg.Ways-a.lo)
+			}
+			accesses = append(accesses, a)
+		}
+		checkGenerationalAgainstOracle(t, cfg, accesses)
+	})
 }
 
 func TestIdealObserveDoesNotAllocate(t *testing.T) {
@@ -200,8 +260,12 @@ func TestIdealObserveDoesNotAllocate(t *testing.T) {
 }
 
 func TestGenerationalObserveDoesNotAllocate(t *testing.T) {
-	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 64})
-	stream := randomStream(4, 1024, 256)
+	c := cache.MustNew(cache.Config{SizeBytes: 64 * 64, LineBytes: 64, Ways: 8, HitLatency: 1})
+	g := MustNewGenerational(GenerationalConfig{TotalBlocks: c.NumBlocks()})
+	stream := make([]Observation, 1024)
+	for i, a := range randomAccesses(4, len(stream), 256, c.Ways()) {
+		stream[i] = observationOf(c.AccessInWays(a.line<<6, a.ctx, a.lo, a.hi), a.ctx)
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		g.Observe(stream[i%len(stream)])

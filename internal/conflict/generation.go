@@ -28,6 +28,10 @@ const numGenerations = 4
 //     through its full capacity;
 //   - starting a fifth generation discards the oldest: its Bloom
 //     filter and its metadata bit column are flash-cleared.
+//
+// As in the hardware, the generation bits belong to block frames, not
+// to line addresses, so Observe needs a frame-consistent stream (see
+// Observation). Ideal accepts any stream.
 type Generational struct {
 	totalBlocks int
 	threshold   int
@@ -41,25 +45,12 @@ type Generational struct {
 	// software analogue of the hardware design's shared hash trees.
 	probes []uint64
 
-	// Flat residency table, the software stand-in for the per-block
-	// generation-bit columns of the hardware design (where the bits
-	// live in the cache block metadata, i.e. one packed array keyed by
-	// (set, way)). The tracker interface never sees way placement and
-	// the tests feed it streams detached from any cache geometry, so
-	// the table is keyed by line address instead: open addressing with
-	// linear probing and backward-shift deletion over keys/masks.
-	// masks[i] == 0 marks an empty slot — a resident entry always has
-	// at least one generation bit set. Live entries are bounded by
-	// 4×threshold (each of the four live generations marks at most
-	// threshold blocks), so the table is sized once at construction
-	// and Observe never allocates.
-	keys  []uint64
-	masks []uint8
-	tmask uint64
-
-	// sweep buffers the lines to drop while advanceGeneration scans
-	// the table, so deletions do not shift entries under the scan.
-	sweep []uint64
+	// cols[i] is generation i's bit column over the tracked cache's
+	// block frames: bit n is set when the block in frame n (set*Ways+
+	// way, Observation.Node) was accessed in generation i. These are
+	// the paper's per-block generation bits, stored as four flat
+	// columns so a turnover flash-clears one column.
+	cols [numGenerations][]uint64
 
 	current  int // index of the youngest generation
 	accessed int // blocks touched in the current generation
@@ -70,7 +61,8 @@ type Generational struct {
 
 // GenerationalConfig sizes the practical tracker.
 type GenerationalConfig struct {
-	// TotalBlocks is the tracked cache's block count (N).
+	// TotalBlocks is the tracked cache's block count (N); every
+	// Observation.Node must lie in [0, TotalBlocks).
 	TotalBlocks int
 	// BloomBitsPerGen is the size of each generation's Bloom filter in
 	// bits. The paper provisions 4×N bits across 4 filters, i.e. N
@@ -108,11 +100,9 @@ func NewGenerational(cfg GenerationalConfig) (*Generational, error) {
 	if g.threshold < 1 {
 		g.threshold = 1
 	}
-	bound := numGenerations * g.threshold
-	g.keys = make([]uint64, tablePow2(bound))
-	g.masks = make([]uint8, len(g.keys))
-	g.tmask = uint64(len(g.keys) - 1)
-	g.sweep = make([]uint64, 0, bound)
+	for i := range g.cols {
+		g.cols[i] = make([]uint64, (cfg.TotalBlocks+63)/64)
+	}
 	for i := range g.filters {
 		// Parameters were validated above; a failure here is a bug.
 		g.filters[i] = bloom.MustNew(cfg.BloomBitsPerGen, cfg.Hashes)
@@ -135,11 +125,9 @@ func (g *Generational) Name() string { return "generation-bloom" }
 
 // Reset implements Tracker.
 func (g *Generational) Reset() {
-	for _, f := range g.filters {
-		f.Clear()
-	}
-	for i := range g.masks {
-		g.masks[i] = 0
+	for i := range g.filters {
+		g.filters[i].Clear()
+		clear(g.cols[i])
 	}
 	g.current = 0
 	g.accessed = 0
@@ -147,42 +135,8 @@ func (g *Generational) Reset() {
 	g.generations = 0
 }
 
-// find returns the table position of line and whether it is resident.
-// When absent, the returned position is the empty slot a subsequent
-// insert must use.
-func (g *Generational) find(line uint64) (pos uint64, found bool) {
-	pos = mixLine(line) & g.tmask
-	for {
-		if g.masks[pos] == 0 {
-			return pos, false
-		}
-		if g.keys[pos] == line {
-			return pos, true
-		}
-		pos = (pos + 1) & g.tmask
-	}
-}
-
-// remove deletes the entry at pos, backward-shifting its probe
-// cluster so later lookups never cross a stale hole.
-func (g *Generational) remove(pos uint64) {
-	cur := pos
-	for {
-		cur = (cur + 1) & g.tmask
-		if g.masks[cur] == 0 {
-			break
-		}
-		home := mixLine(g.keys[cur]) & g.tmask
-		if (cur-home)&g.tmask >= (cur-pos)&g.tmask {
-			g.keys[pos] = g.keys[cur]
-			g.masks[pos] = g.masks[cur]
-			pos = cur
-		}
-	}
-	g.masks[pos] = 0
-}
-
-// Observe implements Tracker.
+// Observe implements Tracker. o must be frame-consistent (see
+// Observation) with o.Node in [0, TotalBlocks).
 func (g *Generational) Observe(o Observation) bool {
 	conflict := false
 	if !o.Hit {
@@ -197,25 +151,26 @@ func (g *Generational) Observe(o Observation) bool {
 			g.conflicts++
 		}
 	}
+	word, bit := o.Node>>6, uint64(1)<<(o.Node&63)
 	if o.Evicted {
-		// Record the displaced tag in the Bloom filter of the latest
-		// generation in which it was accessed.
-		if pos, ok := g.find(o.EvictedLine); ok {
-			g.filters[g.latestGeneration(g.masks[pos])].Add(o.EvictedLine)
-			g.remove(pos)
+		// The displaced block lived in the frame the new one now
+		// occupies. Record its tag in the Bloom filter of the latest
+		// generation in which it was accessed, then drop its bits.
+		for age := 0; age < numGenerations; age++ {
+			idx := (g.current - age + numGenerations) % numGenerations
+			if g.cols[idx][word]&bit != 0 {
+				g.filters[idx].Add(o.EvictedLine)
+				break
+			}
+		}
+		for i := range g.cols {
+			g.cols[i][word] &^= bit
 		}
 	}
 	// Mark the accessed block in the current generation (emulating
 	// placement at the top of the LRU stack).
-	bit := uint8(1) << uint(g.current)
-	pos, found := g.find(o.LineAddr)
-	mask := uint8(0)
-	if found {
-		mask = g.masks[pos]
-	}
-	if mask&bit == 0 {
-		g.keys[pos] = o.LineAddr
-		g.masks[pos] = mask | bit
+	if col := g.cols[g.current]; col[word]&bit == 0 {
+		col[word] |= bit
 		g.accessed++
 		if g.accessed >= g.threshold {
 			g.advanceGeneration()
@@ -224,49 +179,14 @@ func (g *Generational) Observe(o Observation) bool {
 	return conflict
 }
 
-// latestGeneration returns the index of the youngest generation whose
-// bit is set in mask, searching from the current generation backwards
-// through age order.
-func (g *Generational) latestGeneration(mask uint8) int {
-	for age := 0; age < numGenerations; age++ {
-		idx := (g.current - age + numGenerations) % numGenerations
-		if mask&(1<<uint(idx)) != 0 {
-			return idx
-		}
-	}
-	// A resident block always has at least one bit set (set on
-	// install); defensively attribute to the current generation.
-	return g.current
-}
-
 // advanceGeneration discards the oldest generation and makes its slot
-// the new youngest, flash-clearing its Bloom filter and its bit column
-// in the resident metadata. Blocks only ever touched in the discarded
-// generation fall off the bottom of the stack; they are collected
-// during the column scan and removed afterwards, since removal shifts
-// table entries and must not run under the scan.
+// the new youngest, flash-clearing its Bloom filter and its bit column.
+// Blocks only ever touched in the discarded generation are left with
+// no bits set: they fell off the bottom of the approximate LRU stack.
 func (g *Generational) advanceGeneration() {
 	oldest := (g.current + 1) % numGenerations
 	g.filters[oldest].Clear()
-	keep := ^(uint8(1) << uint(oldest))
-	g.sweep = g.sweep[:0]
-	for i, m := range g.masks {
-		if m == 0 {
-			continue
-		}
-		if nm := m & keep; nm != m {
-			if nm == 0 {
-				g.sweep = append(g.sweep, g.keys[i])
-			} else {
-				g.masks[i] = nm
-			}
-		}
-	}
-	for _, line := range g.sweep {
-		if pos, ok := g.find(line); ok {
-			g.remove(pos)
-		}
-	}
+	clear(g.cols[oldest])
 	g.current = oldest
 	g.accessed = 0
 	g.generations++

@@ -10,17 +10,21 @@ import (
 
 // TestFirstTouchNeverConflicts: no tracker may flag a line's very
 // first access as a conflict miss — nothing was prematurely evicted.
+// The 500 lines fit the 64-set × 8-way cache, so no Bloom filter ever
+// holds a tag and no false positive can stand in for a conflict.
 func TestFirstTouchNeverConflicts(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
+		c := cache.MustNew(cache.Config{SizeBytes: 512 * 64, LineBytes: 64, Ways: 8, HitLatency: 1})
 		ideal := MustNewIdeal(64)
-		gen := MustNewGenerational(GenerationalConfig{TotalBlocks: 64})
+		gen := MustNewGenerational(GenerationalConfig{TotalBlocks: c.NumBlocks()})
 		seen := map[uint64]bool{}
 		for i := 0; i < 200; i++ {
 			line := uint64(r.Intn(500))
 			first := !seen[line]
 			seen[line] = true
-			o := Observation{LineAddr: line, Hit: !first && r.Bit() == 1}
+			ctx := uint8(r.Intn(4))
+			o := observationOf(c.Access(line<<6, ctx), ctx)
 			ci := ideal.Observe(o)
 			cg := gen.Observe(o)
 			if first && (ci || cg) {
@@ -35,22 +39,29 @@ func TestFirstTouchNeverConflicts(t *testing.T) {
 }
 
 // TestHitsNeverConflict: a cache hit is never a conflict miss, in
-// either tracker, for arbitrary interleavings.
+// either tracker, for arbitrary interleavings. The 32 lines exactly
+// fill the cache, so after the install pass every access hits.
 func TestHitsNeverConflict(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
+		c := cache.MustNew(cache.Config{SizeBytes: 32 * 64, LineBytes: 64, Ways: 8, HitLatency: 1})
 		trackers := []Tracker{
 			MustNewIdeal(32),
 			MustNewGenerational(GenerationalConfig{TotalBlocks: 32}),
 		}
-		for i := 0; i < 300; i++ {
-			o := Observation{
-				LineAddr: uint64(r.Intn(100)),
-				Set:      uint32(r.Intn(8)),
-				Hit:      true,
+		for i := 0; i < 32+300; i++ {
+			line := uint64(i)
+			if i >= 32 {
+				line = uint64(r.Intn(32))
 			}
+			ctx := uint8(r.Intn(4))
+			res := c.Access(line<<6, ctx)
+			if i >= 32 && !res.Hit {
+				return false
+			}
+			o := observationOf(res, ctx)
 			for _, tr := range trackers {
-				if tr.Observe(o) {
+				if tr.Observe(o) && res.Hit {
 					return false
 				}
 			}
@@ -103,13 +114,11 @@ func TestIdealAgreesWithDefinition(t *testing.T) {
 // its eviction is no longer premature.
 func TestGenerationalNeverFlagsBeyondHorizon(t *testing.T) {
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 16}) // threshold 4
-	g.Observe(Observation{LineAddr: 9999, Hit: false})
-	g.Observe(Observation{LineAddr: 9998, Hit: false, Evicted: true, EvictedLine: 9999})
-	// 5 generations' worth of distinct touches.
-	for i := uint64(0); i < 5*16; i++ {
-		g.Observe(Observation{LineAddr: 100 + i, Hit: false})
-	}
-	if g.Observe(Observation{LineAddr: 9999, Hit: false}) {
+	g.Observe(Observation{LineAddr: 9999, Node: 0, Hit: false})
+	g.Observe(Observation{LineAddr: 9998, Node: 0, Hit: false, Evicted: true, EvictedLine: 9999})
+	// 5 generations' worth of distinct touches in the other frames.
+	held := roundRobin(g, 100, 5*16, 1, 16)
+	if g.Observe(Observation{LineAddr: 9999, Node: 1, Hit: false, Evicted: true, EvictedLine: held[1]}) {
 		t.Error("eviction survived past the tracker's horizon")
 	}
 }

@@ -331,6 +331,7 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 	}
 	ob := conflict.Observation{
 		LineAddr:     l2.LineAddr,
+		Node:         l2.Node,
 		Set:          l2.Set,
 		Ctx:          c.id,
 		Hit:          l2.Hit,

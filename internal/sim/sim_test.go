@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"cchunter/internal/obs"
+
 	"cchunter/internal/trace"
 )
 
@@ -285,6 +287,43 @@ func TestMigration(t *testing.T) {
 	s.Run(200_000)
 	if s.SchedStats().Migrations == 0 {
 		t.Error("expected migrations with probability 1")
+	}
+}
+
+// TestSchedMetricsSumAcrossRuns: the scheduling metrics are counters
+// that publish deltas, so two runs sharing one registry (each run in
+// two segments) report the sum of their scheduling counts.
+func TestSchedMetricsSumAcrossRuns(t *testing.T) {
+	cfg := TestConfig()
+	cfg.QuantumCycles = 5_000
+	cfg.MigrationProb = 0.3
+	cfg.Metrics = obs.NewRegistry()
+	var want SchedStats
+	for run := 0; run < 2; run++ {
+		cfg.Seed = uint64(run + 1)
+		s := MustNew(cfg)
+		for p := 0; p < cfg.Contexts()+4; p++ {
+			s.Spawn(NewProgram("busy", func(m *Machine) {
+				for {
+					m.Compute(1000)
+				}
+			}))
+		}
+		s.Run(100_000)
+		s.Run(200_000)
+		st := s.SchedStats()
+		s.Close()
+		if st.ContextSwitches == 0 || st.Migrations == 0 {
+			t.Fatalf("run %d: no scheduling activity: %+v", run, st)
+		}
+		want.ContextSwitches += st.ContextSwitches
+		want.Migrations += st.Migrations
+	}
+	if got := cfg.Metrics.Counter("sim.ctx_switches").Value(); got != want.ContextSwitches {
+		t.Errorf("sim.ctx_switches = %d, want %d summed over both runs", got, want.ContextSwitches)
+	}
+	if got := cfg.Metrics.Counter("sim.migrations").Value(); got != want.Migrations {
+		t.Errorf("sim.migrations = %d, want %d summed over both runs", got, want.Migrations)
 	}
 }
 

@@ -81,11 +81,11 @@ type hwContext struct {
 
 // System is the simulated machine plus its OS layer.
 type System struct {
-	cfg       Config
-	cores     []*core
-	contexts  []*hwContext
-	l2        *cache.Cache
-	tracker   conflict.Tracker
+	cfg      Config
+	cores    []*core
+	contexts []*hwContext
+	l2       *cache.Cache
+	tracker  conflict.Tracker
 	// trackGen aliases tracker when the practical generational design
 	// is selected (the default): the hot path then observes through a
 	// concrete pointer — a direct, inlinable call — instead of an
@@ -113,13 +113,17 @@ type System struct {
 
 	// Observability: opCount accumulates executed operations between
 	// publishes (a plain add per op — cheaper than checking whether
-	// metrics are enabled); the instruments are nil when cfg.Metrics is
-	// nil, making every publish a no-op.
-	opCount     uint64
-	mOps        *obs.Counter
-	mSwitches   *obs.Gauge
-	mMigrations *obs.Gauge
-	mRunNS      *obs.Timer
+	// metrics are enabled); pubSwitches and pubMigrations are the
+	// scheduling counts already published, so each publish adds only
+	// the delta and runs sharing a registry sum. The instruments are
+	// nil when cfg.Metrics is nil, making every publish a no-op.
+	opCount       uint64
+	pubSwitches   uint64
+	pubMigrations uint64
+	mOps          *obs.Counter
+	mSwitches     *obs.Counter
+	mMigrations   *obs.Counter
+	mRunNS        *obs.Timer
 }
 
 // New builds a system from cfg, rejecting inconsistent machine
@@ -143,8 +147,8 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
 	s.mOps = cfg.Metrics.Counter("sim.ops")
-	s.mSwitches = cfg.Metrics.Gauge("sim.ctx_switches")
-	s.mMigrations = cfg.Metrics.Gauge("sim.migrations")
+	s.mSwitches = cfg.Metrics.Counter("sim.ctx_switches")
+	s.mMigrations = cfg.Metrics.Counter("sim.migrations")
 	s.mRunNS = cfg.Metrics.Timer("sim.run_ns")
 	s.emit = &s.listeners
 	if !cfg.Faults.IsZero() {
@@ -232,8 +236,10 @@ func (s *System) publishMetrics() {
 	}
 	s.mOps.Add(s.opCount)
 	s.opCount = 0
-	s.mSwitches.Set(int64(s.switches))
-	s.mMigrations.Set(int64(s.migrations))
+	s.mSwitches.Add(s.switches - s.pubSwitches)
+	s.pubSwitches = s.switches
+	s.mMigrations.Add(s.migrations - s.pubMigrations)
+	s.pubMigrations = s.migrations
 }
 
 // FaultStats returns the sensor fault injector's counters and whether
