@@ -138,10 +138,10 @@ func AnalyzeOscillation(train *trace.Train, cfg OscillationConfig) OscillationAn
 		cfg.Workspace = ws
 	}
 	if cfg.RawPairSeries {
-		series := appearanceOrderSeries(train)
+		series, couple := rawPairSeries(train)
 		out = analyzeSeries(series, cfg)
 		pool.PutFloat64s(series)
-		out.Pair = dominantCouple(train)
+		out.Pair = couple
 		out.Events = train.Len()
 		return out
 	}
@@ -179,21 +179,29 @@ func ctxSlot(v uint8) (int, bool) {
 	return 0, false
 }
 
-// appearanceOrderSeries maps each event to its ordered pair's
-// identifier, assigning identifiers in order of first appearance —
-// the paper's "S→T is assigned '0' and T→S is assigned '1'". The
-// transmitting pair's two directions dominate the window and thus get
-// the small, adjacent identifiers. The returned series is pooled; the
+// rawPairSeries builds the raw-mode label series and its attribution
+// in one pass over the window's events. The series maps each event to
+// its ordered pair's identifier, assigning identifiers in order of
+// first appearance — the paper's "S→T is assigned '0' and T→S is
+// assigned '1'". The transmitting pair's two directions dominate the
+// window and thus get the small, adjacent identifiers. The couple is
+// the unordered context couple with the most events, self-pairs and
+// victimless events excluded. The returned series is pooled; the
 // caller returns it after analysis.
 //
-// Identifiers live in a flat 256-entry table (16×16 ordered pairs,
-// NoContext folded into the last slot) instead of a map: zeroing 512
-// bytes replaces the per-window map allocation and per-pair hashing.
-// appearanceOrderSeriesRef is the retained map build — the
-// differential reference, and the fallback for machines with contexts
-// the flat table cannot index.
-func appearanceOrderSeries(train *trace.Train) []float64 {
+// Identifiers and per-pair counts live in flat 256-entry tables (16×16
+// ordered pairs, NoContext folded into the last slot) instead of maps:
+// zeroing them replaces the per-window map allocation and per-pair
+// hashing. The couple scan sums both directions of each couple of real
+// contexts in ascending (a, b) order with a strict >, so the smallest
+// couple wins count ties, exactly the reference's
+// max-count-then-less ordering. appearanceOrderSeriesRef and
+// dominantCoupleRef are the retained map builds — the differential
+// references, and the fallback for contexts the flat tables cannot
+// index.
+func rawPairSeries(train *trace.Train) ([]float64, [2]uint8) {
 	var ids [256]int16
+	var counts [256]int
 	for i := range ids {
 		ids[i] = -1
 	}
@@ -204,7 +212,7 @@ func appearanceOrderSeries(train *trace.Train) []float64 {
 		vi, okV := ctxSlot(e.Victim)
 		if !okA || !okV {
 			pool.PutFloat64s(out)
-			return appearanceOrderSeriesRef(train)
+			return appearanceOrderSeriesRef(train), dominantCoupleRef(train)
 		}
 		idx := ai<<4 | vi
 		id := ids[idx]
@@ -213,15 +221,33 @@ func appearanceOrderSeries(train *trace.Train) []float64 {
 			ids[idx] = id
 			next++
 		}
+		counts[idx]++
 		out[i] = float64(id)
 	}
-	return out
+	// An event whose actor is NoContext (slot 15) and whose victim is a
+	// real context forms a couple with NoContext, which only the
+	// reference counts.
+	for v := 0; v < 15; v++ {
+		if counts[15<<4|v] > 0 {
+			return out, dominantCoupleRef(train)
+		}
+	}
+	var best [2]uint8
+	bestN := 0
+	for a := 0; a < 15; a++ {
+		for b := a + 1; b < 15; b++ {
+			if n := counts[a<<4|b] + counts[b<<4|a]; n > bestN {
+				best, bestN = [2]uint8{uint8(a), uint8(b)}, n
+			}
+		}
+	}
+	return out, best
 }
 
 // appearanceOrderSeriesRef is the original map-based build of
-// appearanceOrderSeries, kept as the differential reference (first
-// appearance assigns the next identifier — identical to the flat scan)
-// and as the fallback for out-of-range context ids.
+// rawPairSeries's label series, kept as the differential reference
+// (first appearance assigns the next identifier — identical to the flat
+// scan) and as the fallback for out-of-range context ids.
 func appearanceOrderSeriesRef(train *trace.Train) []float64 {
 	ids := make(map[[2]uint8]int)
 	out := pool.Float64s(train.Len())
@@ -237,39 +263,10 @@ func appearanceOrderSeriesRef(train *trace.Train) []float64 {
 	return out
 }
 
-// dominantCouple reports the couple with the most events, for raw-mode
-// attribution. Counts accumulate in a flat 16×16 table; the ascending
-// (a, b) scan with a strict > keeps the smallest couple among count
-// ties, exactly the reference's max-count-then-less ordering.
-func dominantCouple(train *trace.Train) [2]uint8 {
-	var counts [256]int
-	for _, e := range train.Events() {
-		if e.Victim == trace.NoContext || e.Victim == e.Actor {
-			continue
-		}
-		a, b := e.Actor, e.Victim
-		if a > b {
-			a, b = b, a
-		}
-		if b >= 15 { // b = max(a, b): one compare guards both ids
-			return dominantCoupleRef(train)
-		}
-		counts[int(a)<<4|int(b)]++
-	}
-	var best [2]uint8
-	bestN := 0
-	for a := 0; a < 15; a++ {
-		for b := a + 1; b < 15; b++ {
-			if n := counts[a<<4|b]; n > bestN {
-				best, bestN = [2]uint8{uint8(a), uint8(b)}, n
-			}
-		}
-	}
-	return best
-}
-
-// dominantCoupleRef is the original map-based dominantCouple, kept as
-// the differential reference and the wide-machine fallback.
+// dominantCoupleRef reports the couple with the most events, for
+// raw-mode attribution: the original map-based build of rawPairSeries's
+// couple, kept as the differential reference and the wide-machine
+// fallback.
 func dominantCoupleRef(train *trace.Train) [2]uint8 {
 	counts := make(map[[2]uint8]int)
 	for _, e := range train.Events() {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cchunter/internal/pool"
 	"cchunter/internal/stats"
 	"cchunter/internal/trace"
 )
@@ -274,7 +275,7 @@ func TestAppearanceOrderSeries(t *testing.T) {
 	tr.Append(trace.Event{Cycle: 2, Actor: 4, Victim: 3})
 	tr.Append(trace.Event{Cycle: 3, Actor: 3, Victim: 4})
 	tr.Append(trace.Event{Cycle: 4, Actor: 7, Victim: 1})
-	s := appearanceOrderSeries(tr)
+	s, _ := rawPairSeries(tr)
 	want := []float64{0, 1, 0, 2}
 	for i := range want {
 		if s[i] != want[i] {
@@ -291,8 +292,68 @@ func TestDominantCouple(t *testing.T) {
 	tr.Append(trace.Event{Cycle: 11, Actor: 0, Victim: 1})
 	tr.Append(trace.Event{Cycle: 12, Actor: 3, Victim: 3})               // self: ignored
 	tr.Append(trace.Event{Cycle: 13, Actor: 6, Victim: trace.NoContext}) // victimless: ignored
-	if got := dominantCouple(tr); got != [2]uint8{2, 5} {
+	if _, got := rawPairSeries(tr); got != [2]uint8{2, 5} {
 		t.Errorf("dominant couple = %v", got)
+	}
+}
+
+// TestRawPairSeriesMatchesReference: the one-pass raw-mode build
+// returns the map references' series and couple on random trains that
+// mix victimless events, self-pairs, NoContext actors, count ties and
+// (in some trains) a context id of 15 or more, which takes the map
+// fallback.
+func TestRawPairSeriesMatchesReference(t *testing.T) {
+	r := stats.NewRNG(21)
+	ctx := func(contexts int) uint8 {
+		switch r.Intn(12) {
+		case 0:
+			return trace.NoContext
+		default:
+			return uint8(r.Intn(contexts))
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		contexts := 2 + r.Intn(13) // all ids below 15: the flat path
+		if trial%5 == 4 {
+			contexts = 15 + r.Intn(8) // ids up to 22 may take the fallback
+		}
+		tr := trace.NewTrain(0)
+		n := r.Intn(200)
+		if trial%7 == 0 {
+			// Count tie: two couples with the same event total, the
+			// larger couple first in the train.
+			for i := 0; i < 6; i++ {
+				tr.Append(trace.Event{Cycle: uint64(i), Actor: 9, Victim: 4})
+				tr.Append(trace.Event{Cycle: uint64(i), Actor: 2, Victim: 7})
+			}
+			n = 0
+		}
+		for i := 0; i < n; i++ {
+			a := ctx(contexts)
+			v := ctx(contexts)
+			if r.Intn(8) == 0 {
+				v = a // self-pair
+			}
+			tr.Append(trace.Event{Cycle: uint64(i), Actor: a, Victim: v})
+		}
+		got, couple := rawPairSeries(tr)
+		want := appearanceOrderSeriesRef(tr)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: series length %d, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: series[%d] = %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+		if ref := dominantCoupleRef(tr); couple != ref {
+			t.Fatalf("trial %d: couple %v, reference %v", trial, couple, ref)
+		}
+		if trial%7 == 0 && n == 0 && couple != [2]uint8{2, 7} {
+			t.Fatalf("trial %d: tie went to %v, want the smaller couple {2 7}", trial, couple)
+		}
+		pool.PutFloat64s(got)
+		pool.PutFloat64s(want)
 	}
 }
 

@@ -39,50 +39,68 @@ func useFFT(n, maxLag int) bool {
 	return n*(maxLag+1) > fftCostFactor*l*logL
 }
 
-// fftRadix2 runs an in-place forward radix-2 FFT over the complex
-// series (re, im), whose length must be a power of two. The twiddle
-// table (twre, twim) holds e^{-2πik/T} for k in [0, T/2), where T is
-// any power of two at least len(re): a smaller transform reads every
-// (T/len)-th entry, the same value a table built for its own size
-// holds, since scaling k and T by a common power of two leaves
-// k/T — and so the table entry — bit-identical.
-func fftRadix2(re, im, twre, twim []float64) {
+// fftDIF runs an in-place forward radix-2 FFT over the complex series
+// (re, im), whose length n must be a power of two, by decimation in
+// frequency: natural-order input, bit-reversed output (position p
+// holds bin rev(p)). fftDIT is its mirror, decimation in time:
+// bit-reversed input, natural-order output. Run back to back they
+// need no permutation pass at all.
+//
+// The twiddle table (twre, twim) is laid out per stage: entries
+// [h, 2h) hold e^{-2πik/(2h)} for k in [0, h), so the stage whose
+// butterflies span 2h points reads its h twiddles contiguously. A
+// table of T/2 entries serves every transform of up to T/2 points.
+func fftDIF(re, im, twre, twim []float64) {
 	n := len(re)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-		if i < j {
-			re[i], re[j] = re[j], re[i]
-			im[i], im[j] = im[j], im[i]
+	im = im[:n]
+	for half := n >> 1; half > 1; half >>= 1 {
+		wre, wim := twre[half:2*half], twim[half:2*half]
+		for start := 0; start < n; start += 2 * half {
+			// Reslicing each block's two halves lets the compiler drop
+			// the bounds checks from the butterfly loop.
+			ur, ui := re[start:start+half], im[start:start+half]
+			vr, vi := re[start+half:start+2*half], im[start+half:start+2*half]
+			vi = vi[:len(vr)]
+			ui = ui[:len(vr)]
+			ur = ur[:len(vr)]
+			wr, wi := wre[:len(vr)], wim[:len(vr)]
+			for k := range vr {
+				dr, di := ur[k]-vr[k], ui[k]-vi[k]
+				ur[k], ui[k] = ur[k]+vr[k], ui[k]+vi[k]
+				vr[k], vi[k] = dr*wr[k]-di*wi[k], dr*wi[k]+di*wr[k]
+			}
 		}
 	}
-	// First stage: every twiddle is 1, so the butterflies need no
+	// Last stage: every twiddle is 1, so the butterflies need no
 	// multiplications.
 	for i := 0; i+1 < n; i += 2 {
 		ar, ai, br, bi := re[i], im[i], re[i+1], im[i+1]
 		re[i], im[i], re[i+1], im[i+1] = ar+br, ai+bi, ar-br, ai-bi
 	}
-	tableN := 2 * len(twre)
-	for length := 4; length <= n; length <<= 1 {
-		half := length >> 1
-		stride := tableN / length
-		for start := 0; start < n; start += length {
-			// Reslicing each block's two halves lets the compiler drop
-			// the bounds checks from the butterfly loop.
+}
+
+// fftDIT is the decimation-in-time forward FFT: bit-reversed input,
+// natural-order output, same per-stage twiddle table as fftDIF.
+func fftDIT(re, im, twre, twim []float64) {
+	n := len(re)
+	im = im[:n]
+	// First stage: every twiddle is 1.
+	for i := 0; i+1 < n; i += 2 {
+		ar, ai, br, bi := re[i], im[i], re[i+1], im[i+1]
+		re[i], im[i], re[i+1], im[i+1] = ar+br, ai+bi, ar-br, ai-bi
+	}
+	for half := 2; half < n; half <<= 1 {
+		wre, wim := twre[half:2*half], twim[half:2*half]
+		for start := 0; start < n; start += 2 * half {
 			ur, ui := re[start:start+half], im[start:start+half]
-			vr, vi := re[start+half:start+length], im[start+half:start+length]
+			vr, vi := re[start+half:start+2*half], im[start+half:start+2*half]
 			vi = vi[:len(vr)]
 			ui = ui[:len(vr)]
 			ur = ur[:len(vr)]
+			wr, wi := wre[:len(vr)], wim[:len(vr)]
 			for k := range vr {
-				wr := twre[k*stride]
-				wi := twim[k*stride]
-				tr := vr[k]*wr - vi[k]*wi
-				ti := vr[k]*wi + vi[k]*wr
+				tr := vr[k]*wr[k] - vi[k]*wi[k]
+				ti := vr[k]*wi[k] + vi[k]*wr[k]
 				vr[k], vi[k] = ur[k]-tr, ui[k]-ti
 				ur[k], ui[k] = ur[k]+tr, ui[k]+ti
 			}
@@ -101,8 +119,7 @@ func fftRadix2(re, im, twre, twim []float64) {
 // concurrent use; give each goroutine its own.
 type Workspace struct {
 	re, im     []float64 // FFT scratch, half the padded length L
-	twre, twim []float64 // twiddle table e^{-2πik/T}, length T/2
-	twN        int       // largest padded length T the table serves
+	twre, twim []float64 // per-stage twiddle table, length T/2 for the largest padded length T
 	centered   []float64 // mean-centered copy of the input
 	cden       float64   // energy Σ(x-mean)² of the centered copy
 	acf        []float64 // output buffer, returned to the caller
@@ -143,25 +160,27 @@ func grow(buf []float64, n int) []float64 {
 
 // ensureFFT sizes the complex scratch for a padded length nfft (a
 // power of two, at least 2), which runs as an nfft/2-point transform,
-// and makes sure the twiddle table covers nfft. The table only ever
-// grows: one built for the largest length seen serves every smaller
-// one by stride, so window sweeps that alternate transform sizes never
-// rebuild it.
+// and makes sure the twiddle table covers that transform. The table
+// only ever grows: its per-stage entries do not depend on the
+// transform size, so one built for the largest length seen serves
+// every smaller one unchanged, and window sweeps that alternate
+// transform sizes never rebuild it.
 func (w *Workspace) ensureFFT(nfft int) {
-	w.re = grow(w.re, nfft/2)
-	w.im = grow(w.im, nfft/2)
-	if w.twN < nfft {
-		half := nfft / 2
-		w.twre = grow(w.twre, half)
-		w.twim = grow(w.twim, half)
-		for k := 0; k < half; k++ {
-			// Each entry straight from cos/sin: no recurrence, so the
-			// table's accuracy does not degrade with transform size.
-			ang := -2 * math.Pi * float64(k) / float64(nfft)
-			w.twre[k] = math.Cos(ang)
-			w.twim[k] = math.Sin(ang)
+	m := nfft / 2
+	w.re = grow(w.re, m)
+	w.im = grow(w.im, m)
+	if len(w.twre) < m {
+		w.twre = make([]float64, m)
+		w.twim = make([]float64, m)
+		for h := 1; h < m; h <<= 1 {
+			for k := 0; k < h; k++ {
+				// Each entry straight from cos/sin: no recurrence, so the
+				// table's accuracy does not degrade with transform size.
+				ang := -2 * math.Pi * float64(k) / float64(2*h)
+				w.twre[h+k] = math.Cos(ang)
+				w.twim[h+k] = math.Sin(ang)
+			}
 		}
-		w.twN = nfft
 	}
 }
 
@@ -292,8 +311,10 @@ func (w *Workspace) CenteredAutocorrelation(p int) float64 {
 // transform's output is real too: the same split run backwards folds
 // the spectrum into M complex bins whose inverse transform carries the
 // even lags in re and the odd lags in im. The inverse is taken as the
-// conjugate of a forward transform of the conjugate, so one kernel
-// serves both directions.
+// conjugate of a forward transform of the conjugate, so both passes
+// are forward transforms. The first is fftDIF, which leaves the bins
+// in bit-reversed order; the fold works in that order, and fftDIT
+// takes it back to natural order, so the series is never permuted.
 func (w *Workspace) fftAutocorr(centered []float64, den float64, out []float64) {
 	n := len(centered)
 	maxLag := len(out) - 1
@@ -311,38 +332,38 @@ func (w *Workspace) fftAutocorr(centered []float64, den float64, out []float64) 
 		}
 		re[i], im[i] = a, b
 	}
-	fftRadix2(re, im, w.twre, w.twim)
-	// Split, square and fold bin pairs (k, m-k) in place. With a = Z[k]
-	// and b = Z[m-k] of the packed transform, the even- and odd-sample
-	// spectra are E = a + b̄ and O = -i(a - b̄) (both doubled), so
-	// X[k] = (E + w^k·O)/2 and X[m-k] is the conjugate of (E - w^k·O)/2.
-	// The fold turns the power pair (P[k], P[m-k]) into the packed
-	// inverse input s + i·d·w^-k at k and s + i·d·w^k at m-k, with
-	// s = P[k]+P[m-k] and d = P[k]-P[m-k], stored conjugated for the
-	// forward-kernel inverse. Every factor of two lands in the final
-	// scale below.
-	stride := w.twN / nfft
-	for k := 0; k <= m/2; k++ {
-		j := m - k
-		bi := j
-		if bi == m {
-			bi = 0 // Z is m-periodic: Z[m] = Z[0]
-		}
-		ar, ai, br, bim := re[k], im[k], re[bi], im[bi]
-		er, ei := ar+br, ai-bim
-		or, oi := ai+bim, br-ar
-		wr, wi := w.twre[k*stride], w.twim[k*stride]
-		tr := wr*or - wi*oi
-		ti := wr*oi + wi*or
-		pk := (er+tr)*(er+tr) + (ei+ti)*(ei+ti)
-		pj := (er-tr)*(er-tr) + (ei-ti)*(ei-ti)
-		s, d := pk+pj, pk-pj
-		if j < m && j != k {
-			re[j], im[j] = s-d*wi, -d*wr
-		}
-		re[k], im[k] = s+d*wi, -d*wr
+	fftDIF(re, im, w.twre, w.twim)
+	// Fold bin pairs (k, m-k) in place, at the bit-reversed positions
+	// fftDIF left them in. Position 0 holds Z[0] and position 1 holds
+	// Z[m/2], each its own partner; a position p in the octave
+	// [2^j, 2^(j+1)) pairs with 3·2^j-1-p, whose low j bits are p's
+	// complemented. Of each pair the even position holds the bin
+	// k = rev(p) < m/2, so a walk over even p covers every pair once,
+	// tracking rev(p) with a reversed-order increment. The fold needs
+	// w^k = e^{-2πik/(2m)}: the m/2 stage of the table holds it for
+	// even k, and for odd k (the top octave) its entry for k-1 times
+	// e^{-iπ/m}.
+	half := m / 2
+	stepR, stepI := math.Cos(math.Pi/float64(m)), -math.Sin(math.Pi/float64(m))
+	foldPair(re, im, 0, 0, 1, 0)
+	if m >= 2 {
+		wr, wi := foldTwiddle(w.twre, w.twim, half, half, stepR, stepI)
+		foldPair(re, im, 1, 1, wr, wi)
 	}
-	fftRadix2(re, im, w.twre, w.twim)
+	oct, k := 2, 0
+	for p := 2; p < m; p += 2 {
+		bit := m >> 2
+		for ; k&bit != 0; bit >>= 1 {
+			k ^= bit
+		}
+		k |= bit
+		if p == oct<<1 {
+			oct = p
+		}
+		wr, wi := foldTwiddle(w.twre, w.twim, half, k, stepR, stepI)
+		foldPair(re, im, p, 3*oct-1-p, wr, wi)
+	}
+	fftDIT(re, im, w.twre, w.twim)
 	// The fold carries a factor 8 (four from squaring the doubled E and
 	// O, two from the unhalved s and d); the inverse transform's 1/m
 	// joins it. Both are powers of two, so folding them into the
@@ -355,6 +376,40 @@ func (w *Workspace) fftAutocorr(centered []float64, den float64, out []float64) 
 			out[p] = -im[p>>1] / scale
 		}
 	}
+}
+
+// foldTwiddle returns w^k = e^{-2πik/(2m)} for 0 < k <= m/2, where
+// half = m/2 indexes the table's m/2 stage and (stepR, stepI) is
+// e^{-iπ/m}.
+func foldTwiddle(twre, twim []float64, half, k int, stepR, stepI float64) (float64, float64) {
+	wr, wi := twre[half+k>>1], twim[half+k>>1]
+	if k&1 != 0 {
+		wr, wi = wr*stepR-wi*stepI, wr*stepI+wi*stepR
+	}
+	return wr, wi
+}
+
+// foldPair runs the split, square and fold step on the bins Z[k] at
+// position p and Z[m-k] at position q (q = p when k = m-k mod m). With
+// a = Z[k] and b = Z[m-k] of the packed transform, the even- and
+// odd-sample spectra are E = a + b̄ and O = -i(a - b̄) (both doubled),
+// so X[k] = (E + w^k·O)/2 and X[m-k] is the conjugate of
+// (E - w^k·O)/2. The fold turns the power pair (P[k], P[m-k]) into the
+// packed inverse input s + i·d·w^-k at k and s + i·d·w^k at m-k, with
+// s = P[k]+P[m-k] and d = P[k]-P[m-k], stored conjugated for the
+// forward-kernel inverse. Every factor of two lands in fftAutocorr's
+// final scale.
+func foldPair(re, im []float64, p, q int, wr, wi float64) {
+	ar, ai, br, bim := re[p], im[p], re[q], im[q]
+	er, ei := ar+br, ai-bim
+	or, oi := ai+bim, br-ar
+	tr := wr*or - wi*oi
+	ti := wr*oi + wi*or
+	pk := (er+tr)*(er+tr) + (ei+ti)*(ei+ti)
+	pj := (er-tr)*(er-tr) + (ei-ti)*(ei-ti)
+	s, d := pk+pj, pk-pj
+	re[q], im[q] = s-d*wi, -d*wr
+	re[p], im[p] = s+d*wi, -d*wr
 }
 
 // naiveAutocorr is the direct §IV-D sum over a centered series, shared

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -180,39 +181,50 @@ func FuzzAutocorrFFTMatchesNaive(f *testing.F) {
 	})
 }
 
-// TestTwiddleTableServesSmallerTransformsByStride: a workspace whose
-// table was built for a larger transform serves smaller ones by stride.
-// Alternating 4096-, 1024- and 2048-point transforms on one workspace
-// returns the same bits as a fresh workspace sized for each transform.
-func TestTwiddleTableServesSmallerTransformsByStride(t *testing.T) {
-	shared := NewWorkspace()
+// TestCorrelogramIndependentOfWorkspaceHistory: the per-stage twiddle
+// table holds the same values whatever transform sizes a workspace
+// served before, so a workspace that first ran a 2^20-point
+// correlogram returns the same bits for 1,000-, 1,500- and 2,500-point
+// series as a fresh workspace per size. The first fixture pads to the
+// largest size the table serves, so the fold's odd-k twiddles come from
+// the table's top stage. The table never holds more than T/2 entries
+// per part for the largest padded length T.
+func TestCorrelogramIndependentOfWorkspaceHistory(t *testing.T) {
+	const bigN = 1 << 20
 	r := NewRNG(11)
-	for round := 0; round < 2; round++ {
-		for _, nfft := range []int{4096, 1024, 2048} {
-			n, maxLag := nfft/2+37, nfft/4
-			if got := nextPow2(n + maxLag); got != nfft {
-				t.Fatalf("fixture pads to %d, want %d", got, nfft)
+	shared := NewWorkspace()
+	for _, tc := range []struct{ n, maxLag, nfft int }{
+		{bigN/2 + 1, bigN/2 - 1, bigN}, {1000, 1000, 2048}, {1500, 1000, 4096}, {2500, 1000, 4096},
+	} {
+		if got := nextPow2(tc.n + min(tc.maxLag, tc.n-1)); got != tc.nfft {
+			t.Fatalf("n=%d: fixture pads to %d, want %d", tc.n, got, tc.nfft)
+		}
+		xs := make([]float64, tc.n)
+		for i := range xs {
+			xs[i] = math.Cos(float64(i)/5) + r.NormFloat64()/4
+		}
+		got := append([]float64(nil), shared.Autocorrelogram(xs, tc.maxLag)...)
+		want := NewWorkspace().Autocorrelogram(xs, tc.maxLag)
+		for p := range want {
+			if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+				t.Fatalf("n=%d (%d-point): lag %d = %v, fresh workspace gives %v",
+					tc.n, tc.nfft, p, got[p], want[p])
 			}
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = math.Cos(float64(i)/5) + r.NormFloat64()/4
-			}
-			centered := make([]float64, n)
-			den := centerInto(centered, xs)
-			got := make([]float64, maxLag+1)
-			want := make([]float64, maxLag+1)
-			shared.fftAutocorr(centered, den, got)
-			NewWorkspace().fftAutocorr(centered, den, want)
-			for p := range want {
-				if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
-					t.Fatalf("round %d, %d-point: lag %d = %v, fresh workspace gives %v",
-						round, nfft, p, got[p], want[p])
-				}
+		}
+		if tc.n < 4096 {
+			if d := maxAbsDiff(want, AutocorrelogramNaive(xs, tc.maxLag)); d > 1e-9 {
+				t.Fatalf("n=%d: fft vs naive diverge by %g", tc.n, d)
 			}
 		}
 	}
-	if shared.twN != 4096 {
-		t.Errorf("shared table built for %d points, want the largest (4096)", shared.twN)
+	if fft, naive := shared.PathCounts(); fft != 4 || naive != 0 {
+		t.Fatalf("shared workspace paths: %d fft, %d naive; want 4 fft", fft, naive)
+	}
+	for name, part := range map[string][]float64{"re": shared.twre, "im": shared.twim} {
+		if len(part) > bigN/2 || cap(part) > bigN/2 {
+			t.Errorf("twiddle %s part holds %d entries (cap %d), want at most %d",
+				name, len(part), cap(part), bigN/2)
+		}
 	}
 }
 
@@ -238,4 +250,96 @@ func TestRealInputFFTTinyAndOddLengths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// naiveDFT returns the forward DFT of (re, im) by the O(n²) sum, each
+// twiddle read from a table of sin/cos of the reduced index jk mod n.
+func naiveDFT(re, im []float64) (outRe, outIm []float64) {
+	n := len(re)
+	cos, sin := make([]float64, n), make([]float64, n)
+	for t := range cos {
+		sin[t], cos[t] = math.Sincos(-2 * math.Pi * float64(t) / float64(n))
+	}
+	outRe, outIm = make([]float64, n), make([]float64, n)
+	for k := 0; k < n; k++ {
+		var sr, si float64
+		for j := 0; j < n; j++ {
+			c, s := cos[j*k%n], sin[j*k%n]
+			sr += re[j]*c - im[j]*s
+			si += re[j]*s + im[j]*c
+		}
+		outRe[k], outIm[k] = sr, si
+	}
+	return outRe, outIm
+}
+
+// FuzzFFTKernelsMatchDFT holds the two permutation-free kernels to a
+// naive DFT for every size 2^0..2^12: fftDIF's output at position p is
+// bin rev(p), and fftDIT maps the bit-reversed input back to the DFT in
+// natural order. Run on fftDIF's output, fftDIT transforms the
+// spectrum again, which gives n·x[-k mod n]. Errors are measured
+// relative to the series' L1 norm, which bounds every bin, at the
+// tolerance of FuzzAutocorrFFTMatchesNaive.
+func FuzzFFTKernelsMatchDFT(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 240, 63}, uint8(5))
+	f.Add(make([]byte, 64), uint8(10))
+	f.Add([]byte{7}, uint8(12))
+	f.Fuzz(func(t *testing.T, data []byte, logN uint8) {
+		lg := int(logN % 13)
+		n := 1 << lg
+		xs := decodeSeries(data)
+		r := NewRNG(uint64(lg) + 1)
+		re, im := make([]float64, n), make([]float64, n)
+		var norm float64
+		for i := range re {
+			for _, dst := range []*float64{&re[i], &im[i]} {
+				if len(xs) > 0 {
+					*dst, xs = xs[0], xs[1:]
+				} else {
+					*dst = r.NormFloat64()
+				}
+				norm += math.Abs(*dst)
+			}
+		}
+		if norm == 0 {
+			norm = 1
+		}
+		rev := func(p int) int { return int(bits.Reverse(uint(p)) >> (bits.UintSize - lg) & uint(n-1)) }
+		var w Workspace
+		w.ensureFFT(2 * n)
+		wantRe, wantIm := naiveDFT(re, im)
+
+		// DIT on the bit-reversed input: the DFT in natural order.
+		dr, di := make([]float64, n), make([]float64, n)
+		for p := range dr {
+			dr[p], di[p] = re[rev(p)], im[rev(p)]
+		}
+		fftDIT(dr, di, w.twre, w.twim)
+		for k := range dr {
+			if e := math.Hypot(dr[k]-wantRe[k], di[k]-wantIm[k]) / norm; e > 1e-9 {
+				t.Fatalf("n=%d: DIT bin %d off the DFT by %g of the L1 norm", n, k, e)
+			}
+		}
+
+		// DIF: position p holds bin rev(p).
+		fr, fi := append([]float64(nil), re...), append([]float64(nil), im...)
+		fftDIF(fr, fi, w.twre, w.twim)
+		for p := range fr {
+			k := rev(p)
+			if e := math.Hypot(fr[p]-wantRe[k], fi[p]-wantIm[k]) / norm; e > 1e-9 {
+				t.Fatalf("n=%d: DIF position %d (bin %d) off the DFT by %g of the L1 norm", n, p, k, e)
+			}
+		}
+
+		// DIT after DIF transforms the spectrum again: n·x[-k mod n].
+		fftDIT(fr, fi, w.twre, w.twim)
+		for k := range fr {
+			j := (n - k) % n
+			if e := math.Hypot(fr[k]-float64(n)*re[j], fi[k]-float64(n)*im[j]) / (float64(n) * norm); e > 1e-9 {
+				t.Fatalf("n=%d: DIF then DIT bin %d off n·x[%d] by %g of n·L1", n, k, j, e)
+			}
+		}
+	})
 }
