@@ -62,57 +62,33 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// indexes derives the k bit positions for key via double hashing
-// (Kirsch-Mitzenmacher): position_i = h1 + i*h2 mod nbits. For a
-// power-of-two nbits (the tracker's default sizes) the modulo is the
-// identical mask, which spares a 64-bit divide per position.
-func (f *Filter) indexes(key uint64, out []uint64) []uint64 {
-	h1 := mix64(key)
-	h2 := mix64(key ^ 0x9e3779b97f4a7c15)
-	h2 |= 1 // ensure odd so positions cycle through the table
-	out = out[:0]
-	if f.nbits&(f.nbits-1) == 0 {
-		mask := f.nbits - 1
-		for i := 0; i < f.hashes; i++ {
-			out = append(out, (h1+uint64(i)*h2)&mask)
-		}
-		return out
+// doubleHash returns the two base hashes of key's double-hash
+// position rule (Kirsch-Mitzenmacher): position_i = h1 + i*h2 mod
+// nbits. h2 is odd so positions cycle through the table. Filter and
+// Bank share it, so same-geometry filters and banks place every key
+// at the same positions.
+func doubleHash(key uint64) (h1, h2 uint64) {
+	return mix64(key), mix64(key^0x9e3779b97f4a7c15) | 1
+}
+
+// reduce maps a double-hash value onto [0, nbits). For a power-of-two
+// nbits (the tracker's default sizes) the modulo is the identical
+// mask, which spares a 64-bit divide per position.
+func reduce(h, nbits uint64) uint64 {
+	if nbits&(nbits-1) == 0 {
+		return h & (nbits - 1)
 	}
+	return h % nbits
+}
+
+// indexes derives the k bit positions for key.
+func (f *Filter) indexes(key uint64, out []uint64) []uint64 {
+	h1, h2 := doubleHash(key)
+	out = out[:0]
 	for i := 0; i < f.hashes; i++ {
-		out = append(out, (h1+uint64(i)*h2)%f.nbits)
+		out = append(out, reduce(h1+uint64(i)*h2, f.nbits))
 	}
 	return out
-}
-
-// AppendProbes fills dst (reusing its capacity, discarding its
-// contents) with key's k bit positions and returns it. The positions
-// depend only on the filter's geometry (bit count and
-// hash count), so one probe set can be replayed against any filter of
-// identical geometry via ContainsAt/AddAt — the practical conflict
-// tracker hashes each incoming tag once and checks all four
-// generation filters with the same positions.
-func (f *Filter) AppendProbes(dst []uint64, key uint64) []uint64 {
-	return f.indexes(key, dst)
-}
-
-// ContainsAt is Contains for positions precomputed with AppendProbes
-// on a filter of the same geometry.
-func (f *Filter) ContainsAt(positions []uint64) bool {
-	for _, idx := range positions {
-		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// AddAt is Add for positions precomputed with AppendProbes on a
-// filter of the same geometry.
-func (f *Filter) AddAt(positions []uint64) {
-	for _, idx := range positions {
-		f.bits[idx/64] |= 1 << (idx % 64)
-	}
-	f.added++
 }
 
 // Add inserts key into the filter.
@@ -208,62 +184,4 @@ func expNeg(x float64) float64 {
 func (f *Filter) String() string {
 	return fmt.Sprintf("bloom.Filter{bits=%d k=%d added=%d fill=%.3f}",
 		f.nbits, f.hashes, f.added, f.FillRatio())
-}
-
-// AnyContainsAt probes a bank of same-geometry filters with one
-// precomputed position set (see AppendProbes) and reports whether any
-// filter contains all positions — the generational conflict tracker's
-// "was this tag evicted in any live generation?" test, fused so the
-// tag is hashed once and the filters are swept in one pass. The sweep
-// keeps a candidate bitmask over the filters (banks are small: the
-// tracker has four generations) and tests each probe position against
-// every still-candidate filter, unrolled four-wide across the bank;
-// most misses clear the whole mask on the first position and exit
-// after a handful of word loads. Equivalent to calling ContainsAt on
-// each filter in turn.
-func AnyContainsAt(filters []*Filter, positions []uint64) bool {
-	if len(filters) > 64 {
-		panic("bloom: probe bank wider than 64 filters")
-	}
-	alive := uint64(1)<<uint(len(filters)) - 1
-	for _, idx := range positions {
-		word, bit := idx/64, uint64(1)<<(idx%64)
-		mask := alive
-		// Unrolled four-wide over the bank's still-alive filters.
-		for mask != 0 {
-			i0 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i0].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i0)
-			}
-			if mask == 0 {
-				break
-			}
-			i1 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i1].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i1)
-			}
-			if mask == 0 {
-				break
-			}
-			i2 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i2].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i2)
-			}
-			if mask == 0 {
-				break
-			}
-			i3 := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			if filters[i3].bits[word]&bit == 0 {
-				alive &^= 1 << uint(i3)
-			}
-		}
-		if alive == 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -164,7 +164,7 @@ func TestString(t *testing.T) {
 }
 
 // modPositions is the double-hash position rule written with the plain
-// modulo, the reference for both of indexes' paths.
+// modulo, the reference for both of reduce's paths.
 func modPositions(key, nbits uint64, k int) []uint64 {
 	h1 := mix64(key)
 	h2 := mix64(key^0x9e3779b97f4a7c15) | 1
@@ -186,7 +186,7 @@ func TestProbePositionsMatchModulo(t *testing.T) {
 			maskDiffers := false
 			for i := 0; i < 2000; i++ {
 				key := r.Uint64()
-				got := f.AppendProbes(nil, key)
+				got := f.indexes(key, nil)
 				want := modPositions(key, uint64(nbits), k)
 				for j := range want {
 					if got[j] != want[j] {

@@ -9,6 +9,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrBadConfig is wrapped by every configuration validation error in
@@ -62,6 +63,16 @@ func decodeTag(enc uint64) uint64 { return enc >> 9 }
 
 func ownerOf(enc uint64) uint8 { return uint8(enc) }
 
+// maxWays is the largest associativity New accepts: a set's recency
+// order packs one 4-bit way index per position into one word.
+const maxWays = 16
+
+// Order-word nibble masks: the low and the high bit of every nibble.
+const (
+	nibbleLow  = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
+
 // Cache is a single set-associative cache with true-LRU replacement.
 // It is not safe for concurrent use; the simulation engine serializes
 // all accesses in global time order.
@@ -69,23 +80,21 @@ func ownerOf(enc uint64) uint8 { return uint8(enc) }
 // Block metadata lives in one flat array indexed by node =
 // set*Ways+way: tags holds each way's packed tag+owner word (one
 // cache line of words per 8-way set, so the hit scan touches a single
-// array). Recency is an intrusive doubly-linked list per set,
-// threaded through flat index arrays: every touch relinks the block
-// at the head in O(1), and the eviction victim is the first
-// in-partition node from the tail — no per-access timestamp scan and
-// no per-access allocation.
+// array). Recency is one order word per set: nibble i holds the way at
+// recency position i, position 0 the most recently used and position
+// Ways-1 the least. A touch finds the way's nibble with a SWAR
+// zero-nibble test and rotates it to position 0; the eviction victim
+// is the first in-partition nibble counting down from position
+// Ways-1. Nibbles above Ways-1 hold 0xF, which no way of a cache with
+// fewer than 16 ways matches, and never move.
 type Cache struct {
 	cfg       Config
 	nsets     int
 	lineShift uint
 	setMask   uint64
+	lruShift  uint     // 4*(Ways-1): the bit offset of position Ways-1
 	tags      []uint64 // packed tag+owner words; invalidTag = empty way
-
-	// Per-set LRU lists over global node indexes; -1 terminates.
-	// lruHead[s] is set s's most recently used way, lruTail[s] its
-	// least recently used.
-	lruPrev, lruNext []int32
-	lruHead, lruTail []int32
+	order     []uint64 // per-set recency order words
 
 	hits, misses, evictions uint64
 }
@@ -101,6 +110,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		return nil, fmt.Errorf("%w: size %d and ways %d must be positive", ErrBadConfig, cfg.SizeBytes, cfg.Ways)
 	}
+	if cfg.Ways > maxWays {
+		return nil, fmt.Errorf("%w: %d ways exceeds the maximum of %d", ErrBadConfig, cfg.Ways, maxWays)
+	}
 	blocks := cfg.SizeBytes / cfg.LineBytes
 	if blocks%cfg.Ways != 0 {
 		return nil, fmt.Errorf("%w: capacity %dB not divisible into %d ways of %dB lines",
@@ -114,57 +126,58 @@ func New(cfg Config) (*Cache, error) {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
+	// Initial order is way index order, way 0 most recent; it only
+	// matters once all in-partition ways are valid, by which time every
+	// way has been touched by its install.
+	initial := uint64(0)
+	for i := maxWays - 1; i >= 0; i-- {
+		w := uint64(0xF)
+		if i < cfg.Ways {
+			w = uint64(i)
+		}
+		initial = initial<<4 | w
+	}
 	c := &Cache{
 		cfg:       cfg,
 		nsets:     nsets,
 		lineShift: shift,
 		setMask:   uint64(nsets - 1),
+		lruShift:  uint(4 * (cfg.Ways - 1)),
 		tags:      make([]uint64, blocks),
-		lruPrev:   make([]int32, blocks),
-		lruNext:   make([]int32, blocks),
-		lruHead:   make([]int32, nsets),
-		lruTail:   make([]int32, nsets),
+		order:     make([]uint64, nsets),
 	}
-	// Initial list order is way index order; it only matters once all
-	// in-partition ways are valid, by which time every way has been
-	// relinked by its install.
-	for s := 0; s < nsets; s++ {
-		base := int32(s * cfg.Ways)
-		for w := 0; w < cfg.Ways; w++ {
-			n := base + int32(w)
-			c.lruPrev[n] = n - 1
-			c.lruNext[n] = n + 1
-		}
-		c.lruPrev[base] = -1
-		c.lruNext[base+int32(cfg.Ways)-1] = -1
-		c.lruHead[s] = base
-		c.lruTail[s] = base + int32(cfg.Ways) - 1
+	for s := range c.order {
+		c.order[s] = initial
 	}
 	return c, nil
 }
 
-// touch moves way w of set s to the head (MRU end) of the set's
-// recency list.
+// touch moves way w of set s to recency position 0; the ways more
+// recent than w each move back one position. Every way appears in the
+// order word exactly once, so the lowest zero nibble of
+// order^(w*nibbleLow) is w's position: the SWAR test's borrow can only
+// mark nibbles above a true zero.
 func (c *Cache) touch(set uint64, w int) {
-	n := int32(int(set)*c.cfg.Ways + w)
-	if c.lruHead[set] == n {
+	o := c.order[set]
+	if o&0xF == uint64(w) {
 		return
 	}
-	p, nx := c.lruPrev[n], c.lruNext[n]
-	if p >= 0 {
-		c.lruNext[p] = nx
+	x := o ^ uint64(w)*nibbleLow
+	p := uint(bits.TrailingZeros64((x-nibbleLow)&^x&nibbleHigh)) &^ 3
+	below := uint64(1)<<p - 1            // positions more recent than w
+	above := o &^ (uint64(1)<<(p+4) - 1) // positions less recent; 1<<64 is 0
+	c.order[set] = above | (o&below)<<4 | uint64(w)
+}
+
+// lruWay returns the least recently used way of set s within [lo, hi):
+// the first in-range nibble counting down from position Ways-1.
+func (c *Cache) lruWay(set uint64, lo, hi int) int {
+	o := c.order[set]
+	for sh := c.lruShift; ; sh -= 4 {
+		if w := int(o>>sh) & 0xF; w >= lo && w < hi {
+			return w
+		}
 	}
-	if nx >= 0 {
-		c.lruPrev[nx] = p
-	}
-	if c.lruTail[set] == n {
-		c.lruTail[set] = p
-	}
-	h := c.lruHead[set]
-	c.lruPrev[n] = -1
-	c.lruNext[n] = h
-	c.lruPrev[h] = n
-	c.lruHead[set] = n
 }
 
 // MustNew is New for geometries known to be valid (tests, hardcoded
@@ -204,7 +217,9 @@ type Result struct {
 // updated to ctx on every access, matching the paper's "current owner
 // context in the cache block metadata".
 func (c *Cache) Access(addr uint64, ctx uint8) Result {
-	return c.AccessInWays(addr, ctx, 0, c.cfg.Ways)
+	var r Result
+	c.AccessInto(&r, addr, ctx, 0, c.cfg.Ways)
+	return r
 }
 
 // AccessHit is Access for callers that only consume the hit/miss bit —
@@ -237,9 +252,9 @@ func (c *Cache) AccessHit(addr uint64, ctx uint8) bool {
 	}
 	c.misses++
 	if victim < 0 {
-		// Unpartitioned access: the tail of the recency list is the
-		// victim, the same choice AccessInWays makes with a full range.
-		victim = int(c.lruTail[set]) - setBase
+		// Unpartitioned access: the least recently used way is the
+		// victim, the same choice AccessInto makes with a full range.
+		victim = int(c.order[set]>>c.lruShift) & 0xF
 		c.evictions++
 	}
 	ways[victim] = enc
@@ -253,6 +268,16 @@ func (c *Cache) AccessHit(addr uint64, ctx uint8) bool {
 // but on a miss the victim is chosen only inside the context's
 // partition, so one partition can never evict another's blocks.
 func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
+	var r Result
+	c.AccessInto(&r, addr, ctx, lo, hi)
+	return r
+}
+
+// AccessInto is AccessInWays writing the outcome into *r, every field
+// of which it overwrites. The simulator's L2 step fills one Result it
+// owns and hands it to the conflict tracker by pointer, so the
+// per-access path copies no Result.
+func (c *Cache) AccessInto(r *Result, addr uint64, ctx uint8, lo, hi int) {
 	if lo < 0 || hi > c.cfg.Ways || lo >= hi {
 		panic(fmt.Sprintf("cache: bad way range [%d, %d) of %d", lo, hi, c.cfg.Ways))
 	}
@@ -262,47 +287,34 @@ func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
 	ways := c.tags[setBase : setBase+c.cfg.Ways]
 	key := tagKey(lineAddr)
 	enc := key<<8 | uint64(ctx)
-	res := Result{Set: uint32(set), LineAddr: lineAddr}
+	// One pass finds the hit way and the first invalid way in range.
+	victim := -1
 	for i := range ways {
-		if tagOf(ways[i]) == key {
+		w := ways[i]
+		if tagOf(w) == key {
 			ways[i] = enc
 			c.touch(set, i)
-			res.Hit = true
-			res.Node = int32(setBase + i)
 			c.hits++
-			return res
+			*r = Result{Hit: true, Set: uint32(set), LineAddr: lineAddr, Node: int32(setBase + i)}
+			return
+		}
+		if w == invalidTag && victim < 0 && uint(i-lo) < uint(hi-lo) {
+			victim = i
 		}
 	}
 	c.misses++
-	// Miss: find an invalid way in range, else the LRU way in range —
-	// the first in-partition node walking the recency list from the
-	// tail. Every in-partition way is valid on that walk (the invalid
-	// scan just failed), and relative list order of valid ways is
-	// exactly last-touch order, so the walk lands on the same victim
-	// the timestamp scan used to find.
-	victim := -1
-	for i := lo; i < hi; i++ {
-		if ways[i] == invalidTag {
-			victim = i
-			break
-		}
-	}
+	// Miss: an invalid way in range, else the LRU way in range.
+	*r = Result{Set: uint32(set), LineAddr: lineAddr}
 	if victim < 0 {
-		for n := c.lruTail[set]; n >= 0; n = c.lruPrev[n] {
-			if w := int(n) - setBase; w >= lo && w < hi {
-				victim = w
-				break
-			}
-		}
-		res.Evicted = true
-		res.EvictedLine = decodeTag(ways[victim])
-		res.EvictedOwner = ownerOf(ways[victim])
+		victim = c.lruWay(set, lo, hi)
+		r.Evicted = true
+		r.EvictedLine = decodeTag(ways[victim])
+		r.EvictedOwner = ownerOf(ways[victim])
 		c.evictions++
 	}
 	ways[victim] = enc
 	c.touch(set, victim)
-	res.Node = int32(setBase + victim)
-	return res
+	r.Node = int32(setBase + victim)
 }
 
 // InvalidateLine removes the block with the given line address (the
@@ -314,10 +326,11 @@ func (c *Cache) AccessInWays(addr uint64, ctx uint8, lo, hi int) Result {
 // channel and its detector both live on.
 func (c *Cache) InvalidateLine(lineAddr uint64) bool {
 	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
+	ways := c.tags[setBase : setBase+c.cfg.Ways]
 	key := tagKey(lineAddr)
-	for i := 0; i < c.cfg.Ways; i++ {
-		if tagOf(c.tags[setBase+i]) == key {
-			c.tags[setBase+i] = invalidTag
+	for i, w := range ways {
+		if tagOf(w) == key {
+			ways[i] = invalidTag
 			return true
 		}
 	}
@@ -327,15 +340,23 @@ func (c *Cache) InvalidateLine(lineAddr uint64) bool {
 // Contains reports whether addr is resident, without touching LRU
 // state. Intended for tests and assertions.
 func (c *Cache) Contains(addr uint64) bool {
+	_, ok := c.Frame(addr)
+	return ok
+}
+
+// Frame returns the block frame (set*Ways+way, the Result.Node
+// coordinate space) holding addr's line and whether it is resident.
+// Intended for tests and assertions.
+func (c *Cache) Frame(addr uint64) (int32, bool) {
 	lineAddr := addr >> c.lineShift
 	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
 	key := tagKey(lineAddr)
 	for i := 0; i < c.cfg.Ways; i++ {
 		if tagOf(c.tags[setBase+i]) == key {
-			return true
+			return int32(setBase + i), true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Owner returns the owning context of addr's block and whether it is

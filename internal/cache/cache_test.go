@@ -35,6 +35,7 @@ func TestBadGeometryErrors(t *testing.T) {
 		"line not power of two": {SizeBytes: 512, LineBytes: 48, Ways: 2},
 		"zero ways":             {SizeBytes: 512, LineBytes: 64, Ways: 0},
 		"sets not power of two": {SizeBytes: 3 * 64 * 2, LineBytes: 64, Ways: 2},
+		"more than 16 ways":     {SizeBytes: 32 * 64, LineBytes: 64, Ways: 32},
 	} {
 		c, err := New(cfg)
 		if err == nil || c != nil {
@@ -194,18 +195,6 @@ func TestStatsEvictionsCount(t *testing.T) {
 	}
 }
 
-// frameOf returns the frame (set*Ways+way) holding lineAddr, read
-// straight from the tag array.
-func frameOf(c *Cache, lineAddr uint64) (int32, bool) {
-	setBase := int(lineAddr&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if tagOf(c.tags[setBase+w]) == tagKey(lineAddr) {
-			return int32(setBase + w), true
-		}
-	}
-	return 0, false
-}
-
 func TestResultNodeNamesFrame(t *testing.T) {
 	c := small() // 4 sets × 2 ways
 	a := c.AddrForSet(1, 0, 1)
@@ -243,7 +232,7 @@ func TestResultNodeProperties(t *testing.T) {
 			hi = lo + 1 + r.Intn(c.Ways()-lo)
 		}
 		res := c.AccessInWays(uint64(r.Intn(96))<<6, uint8(r.Intn(4)), lo, hi)
-		if f, ok := frameOf(c, res.LineAddr); !ok || f != res.Node {
+		if f, ok := c.Frame(res.LineAddr << 6); !ok || f != res.Node {
 			t.Fatalf("access %d: Node %d, line sits in frame %d (resident %v)", i, res.Node, f, ok)
 		}
 		if want := int32(res.Set) * int32(c.Ways()); res.Node < want || res.Node >= want+int32(c.Ways()) {

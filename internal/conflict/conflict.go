@@ -22,8 +22,9 @@
 // tracker's LRU stack is an intrusive doubly-linked list over slab
 // indexes with an open-addressing line index. The practical tracker
 // keeps its generation bits where the paper's hardware does, in the
-// tracked cache's block frames: four bit columns indexed by
-// Observation.Node. That makes it exact only for frame-consistent
+// tracked cache's block frames: one nibble per frame, indexed by
+// Observation.Node, and its four Bloom filters bit-sliced into one
+// bloom.Bank. Keying by frame makes it exact only for frame-consistent
 // streams (see Observation); the ideal tracker accepts any stream.
 // See DESIGN.md §12 for the layouts and the equivalence arguments.
 package conflict
@@ -31,14 +32,19 @@ package conflict
 import (
 	"errors"
 	"fmt"
+
+	"cchunter/internal/cache"
 )
 
 // ErrBadConfig is wrapped by every configuration validation error in
 // this package.
 var ErrBadConfig = errors.New("conflict: bad configuration")
 
-// Observation describes one access to the tracked cache, as reported
-// by the cache model.
+// Observation describes one access to the tracked cache: the cache
+// model's Result plus the accessing context. The simulator fills one
+// Observation for its L2 in place (cache.Cache.AccessInto on the
+// embedded Result) and passes it by pointer, so the per-access path
+// copies no struct.
 //
 // A stream of observations is frame-consistent when it is what one
 // cache.Cache reports: Node names the frame holding LineAddr after the
@@ -47,25 +53,9 @@ var ErrBadConfig = errors.New("conflict: bad configuration")
 // the same observation reports as EvictedLine. Lines leave frames only
 // through reported evictions.
 type Observation struct {
-	// LineAddr is the full line address of the accessed block.
-	LineAddr uint64
-	// Node is the block frame (set*Ways+way) that holds the accessed
-	// block after the access, as in cache.Result.Node. On an eviction
-	// it is also the displaced block's frame.
-	Node int32
-	// Set is the set index the block maps to.
-	Set uint32
+	cache.Result
 	// Ctx is the accessing hardware context (the replacer on a miss).
 	Ctx uint8
-	// Hit reports whether the access hit.
-	Hit bool
-	// Evicted reports whether installing the block displaced a valid
-	// block (only meaningful when !Hit).
-	Evicted bool
-	// EvictedLine is the displaced block's line address.
-	EvictedLine uint64
-	// EvictedOwner is the displaced block's owning context.
-	EvictedOwner uint8
 }
 
 // Tracker decides, for every access, whether it is a conflict miss.
@@ -74,8 +64,9 @@ type Observation struct {
 type Tracker interface {
 	// Observe consumes one access and reports whether it was a
 	// conflict miss: the block missed although it was recently enough
-	// used that a fully-associative cache would have retained it.
-	Observe(o Observation) bool
+	// used that a fully-associative cache would have retained it. The
+	// tracker reads *o during the call only.
+	Observe(o *Observation) bool
 	// Name identifies the tracker implementation.
 	Name() string
 	// Reset clears all tracking state.
@@ -196,7 +187,7 @@ func (t *Ideal) lookup(line uint64) int32 {
 }
 
 // Observe implements Tracker.
-func (t *Ideal) Observe(o Observation) bool {
+func (t *Ideal) Observe(o *Observation) bool {
 	slot := t.lookup(o.LineAddr)
 	conflict := !o.Hit && slot >= 0
 	if conflict {

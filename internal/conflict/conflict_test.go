@@ -10,18 +10,12 @@ import (
 
 // observationOf turns one cache access result into the tracker's
 // observation, frame included.
-func observationOf(r cache.Result, ctx uint8) Observation {
-	return Observation{
-		LineAddr:     r.LineAddr,
-		Node:         r.Node,
-		Set:          r.Set,
-		Ctx:          ctx,
-		Hit:          r.Hit,
-		Evicted:      r.Evicted,
-		EvictedLine:  r.EvictedLine,
-		EvictedOwner: r.EvictedOwner,
-	}
+func observationOf(r cache.Result, ctx uint8) *Observation {
+	return &Observation{Result: r, Ctx: ctx}
 }
+
+// obsOf builds an observation from bare cache-result fields.
+func obsOf(r cache.Result) *Observation { return &Observation{Result: r} }
 
 // driveCache replays a sequence of (addr, ctx) accesses through a real
 // cache model feeding the tracker, returning per-access conflict flags.
@@ -41,7 +35,7 @@ func roundRobin(tr Tracker, base uint64, n, lo, hi int) map[int32]uint64 {
 	held := map[int32]uint64{}
 	for i := 0; i < n; i++ {
 		node := int32(lo + i%(hi-lo))
-		o := Observation{LineAddr: base + uint64(i), Node: node}
+		o := obsOf(cache.Result{LineAddr: base + uint64(i), Node: node})
 		if prev, ok := held[node]; ok {
 			o.Evicted, o.EvictedLine = true, prev
 		}
@@ -116,32 +110,32 @@ func TestCapacityMissNotConflictForIdeal(t *testing.T) {
 func TestIdealStackEviction(t *testing.T) {
 	tr := MustNewIdeal(4)
 	for i := uint64(0); i < 6; i++ {
-		tr.Observe(Observation{LineAddr: i, Hit: false})
+		tr.Observe(obsOf(cache.Result{LineAddr: i, Hit: false}))
 	}
 	if tr.StackSize() != 4 {
 		t.Errorf("stack size = %d, want 4", tr.StackSize())
 	}
 	// Line 0 fell off; a miss on it is not a conflict.
-	if tr.Observe(Observation{LineAddr: 0, Hit: false}) {
+	if tr.Observe(obsOf(cache.Result{LineAddr: 0, Hit: false})) {
 		t.Error("expired line flagged as conflict")
 	}
 	// Line 5 is still in the stack; a miss on it is a conflict.
-	if !tr.Observe(Observation{LineAddr: 5, Hit: false}) {
+	if !tr.Observe(obsOf(cache.Result{LineAddr: 5, Hit: false})) {
 		t.Error("in-stack miss not flagged")
 	}
 }
 
 func TestIdealMoveToFrontKeepsHotLines(t *testing.T) {
 	tr := MustNewIdeal(3)
-	tr.Observe(Observation{LineAddr: 1})
-	tr.Observe(Observation{LineAddr: 2})
-	tr.Observe(Observation{LineAddr: 3})
-	tr.Observe(Observation{LineAddr: 1}) // refresh 1
-	tr.Observe(Observation{LineAddr: 4}) // evicts 2 (LRU), not 1
-	if !tr.Observe(Observation{LineAddr: 1, Hit: false}) {
+	tr.Observe(obsOf(cache.Result{LineAddr: 1}))
+	tr.Observe(obsOf(cache.Result{LineAddr: 2}))
+	tr.Observe(obsOf(cache.Result{LineAddr: 3}))
+	tr.Observe(obsOf(cache.Result{LineAddr: 1})) // refresh 1
+	tr.Observe(obsOf(cache.Result{LineAddr: 4})) // evicts 2 (LRU), not 1
+	if !tr.Observe(obsOf(cache.Result{LineAddr: 1, Hit: false})) {
 		t.Error("refreshed line should still be in stack")
 	}
-	if tr.Observe(Observation{LineAddr: 2, Hit: false}) {
+	if tr.Observe(obsOf(cache.Result{LineAddr: 2, Hit: false})) {
 		t.Error("stale line should have been dropped")
 	}
 }
@@ -150,7 +144,7 @@ func TestGenerationalTurnover(t *testing.T) {
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 8})
 	// threshold = 2: every 2 distinct blocks advance a generation.
 	for i := uint64(0); i < 8; i++ {
-		g.Observe(Observation{LineAddr: i, Node: int32(i), Hit: false})
+		g.Observe(obsOf(cache.Result{LineAddr: i, Node: int32(i), Hit: false}))
 	}
 	if g.Generations() != 4 {
 		t.Errorf("generations = %d, want 4", g.Generations())
@@ -161,18 +155,18 @@ func TestGenerationalForgetsOldEvictions(t *testing.T) {
 	// An eviction recorded in a generation must stop causing conflicts
 	// once that generation is discarded (4 turnovers later).
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 8, BloomBitsPerGen: 4096})
-	g.Observe(Observation{LineAddr: 100, Node: 0, Hit: false})
+	g.Observe(obsOf(cache.Result{LineAddr: 100, Node: 0, Hit: false}))
 	// Evict line 100 from frame 0 (recorded in current generation's bloom).
-	g.Observe(Observation{LineAddr: 101, Node: 0, Hit: false, Evicted: true, EvictedLine: 100})
+	g.Observe(obsOf(cache.Result{LineAddr: 101, Node: 0, Hit: false, Evicted: true, EvictedLine: 100}))
 	// Re-access now, into empty frame 1: conflict detected.
-	if !g.Observe(Observation{LineAddr: 100, Node: 1, Hit: false}) {
+	if !g.Observe(obsOf(cache.Result{LineAddr: 100, Node: 1, Hit: false})) {
 		t.Fatal("fresh premature eviction not flagged")
 	}
 	// Line 100 is resident again. Evict it once more but this time
 	// cycle all four generations before re-accessing.
-	g.Observe(Observation{LineAddr: 102, Node: 1, Hit: false, Evicted: true, EvictedLine: 100})
+	g.Observe(obsOf(cache.Result{LineAddr: 102, Node: 1, Hit: false, Evicted: true, EvictedLine: 100}))
 	held := roundRobin(g, 1000, 20, 2, 8)
-	if g.Observe(Observation{LineAddr: 100, Node: 2, Hit: false, Evicted: true, EvictedLine: held[2]}) {
+	if g.Observe(obsOf(cache.Result{LineAddr: 100, Node: 2, Hit: false, Evicted: true, EvictedLine: held[2]})) {
 		t.Error("eviction survived generation turnover")
 	}
 }
@@ -234,10 +228,10 @@ func TestGenerationalRandomTrafficLowConflictRate(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	for name, tr := range trackersUnderTest(8) {
-		tr.Observe(Observation{LineAddr: 1, Node: 0, Hit: false})
-		tr.Observe(Observation{LineAddr: 2, Node: 0, Hit: false, Evicted: true, EvictedLine: 1})
+		tr.Observe(obsOf(cache.Result{LineAddr: 1, Node: 0, Hit: false}))
+		tr.Observe(obsOf(cache.Result{LineAddr: 2, Node: 0, Hit: false, Evicted: true, EvictedLine: 1}))
 		tr.Reset()
-		if tr.Observe(Observation{LineAddr: 1, Node: 1, Hit: false}) {
+		if tr.Observe(obsOf(cache.Result{LineAddr: 1, Node: 1, Hit: false})) {
 			t.Errorf("%s: conflict detected after Reset", name)
 		}
 	}

@@ -3,6 +3,7 @@ package conflict
 import (
 	"testing"
 
+	"cchunter/internal/bloom"
 	"cchunter/internal/cache"
 	"cchunter/internal/stats"
 )
@@ -23,10 +24,10 @@ func randomStream(seed uint64, n, lines int) []Observation {
 	r := stats.NewRNG(seed)
 	out := make([]Observation, n)
 	for i := range out {
-		o := Observation{
+		o := Observation{Result: cache.Result{
 			LineAddr: uint64(r.Intn(lines)),
 			Hit:      r.Intn(3) == 0,
-		}
+		}}
 		if !o.Hit && r.Intn(2) == 0 {
 			o.Evicted = true
 			o.EvictedLine = uint64(r.Intn(lines))
@@ -45,7 +46,7 @@ func TestIdealMatchesReference(t *testing.T) {
 		flat := MustNewIdeal(capacity)
 		ref := MustNewIdealReference(capacity)
 		for i, o := range randomStream(uint64(capacity), 20000, 4*capacity+16) {
-			got, want := flat.Observe(o), ref.Observe(o)
+			got, want := flat.Observe(&o), ref.Observe(&o)
 			if got != want {
 				t.Fatalf("capacity %d: observation %d: flat=%v reference=%v", capacity, i, got, want)
 			}
@@ -63,23 +64,25 @@ func TestIdealMatchesReference(t *testing.T) {
 func TestIdealMatchesReferenceAfterReset(t *testing.T) {
 	flat, ref := MustNewIdeal(16), MustNewIdealReference(16)
 	for _, o := range randomStream(1, 2000, 64) {
-		flat.Observe(o)
-		ref.Observe(o)
+		flat.Observe(&o)
+		ref.Observe(&o)
 	}
 	flat.Reset()
 	ref.Reset()
 	for i, o := range randomStream(2, 2000, 64) {
-		if got, want := flat.Observe(o), ref.Observe(o); got != want {
+		if got, want := flat.Observe(&o), ref.Observe(&o); got != want {
 			t.Fatalf("post-reset observation %d: flat=%v reference=%v", i, got, want)
 		}
 	}
 }
 
 // generationalOracle replays the practical tracker's algorithm over a
-// line-keyed map residency table (the pre-frame representation),
-// sharing nothing with Generational but the Bloom filters' geometry.
+// line-keyed map residency table (the pre-frame representation) and
+// four separate bloom.Filters, sharing nothing with Generational's
+// frame nibbles and bit-sliced bank but the Bloom hash positions.
 type generationalOracle struct {
-	g           *Generational
+	filters     [numGenerations]*bloom.Filter
+	threshold   int
 	resident    map[uint64]uint8
 	current     int
 	accessed    int
@@ -88,17 +91,27 @@ type generationalOracle struct {
 }
 
 func newGenerationalOracle(cfg GenerationalConfig) *generationalOracle {
-	return &generationalOracle{
-		g:        MustNewGenerational(cfg),
-		resident: map[uint64]uint8{},
+	o := &generationalOracle{
+		threshold: max(cfg.TotalBlocks/numGenerations, 1),
+		resident:  map[uint64]uint8{},
 	}
+	bitsPerGen, hashes := cfg.BloomBitsPerGen, cfg.Hashes
+	if bitsPerGen == 0 {
+		bitsPerGen = cfg.TotalBlocks
+	}
+	if hashes == 0 {
+		hashes = 3
+	}
+	for i := range o.filters {
+		o.filters[i] = bloom.MustNew(bitsPerGen, hashes)
+	}
+	return o
 }
 
-func (o *generationalOracle) observe(ob Observation) bool {
-	g := o.g
+func (o *generationalOracle) observe(ob *Observation) bool {
 	conflict := false
 	if !ob.Hit {
-		for _, f := range g.filters {
+		for _, f := range o.filters {
 			if f.Contains(ob.LineAddr) {
 				conflict = true
 				o.conflicts++
@@ -109,7 +122,7 @@ func (o *generationalOracle) observe(ob Observation) bool {
 	if ob.Evicted {
 		if mask, ok := o.resident[ob.EvictedLine]; ok {
 			idx := o.latestGeneration(mask)
-			g.filters[idx].Add(ob.EvictedLine)
+			o.filters[idx].Add(ob.EvictedLine)
 			delete(o.resident, ob.EvictedLine)
 		}
 	}
@@ -118,9 +131,9 @@ func (o *generationalOracle) observe(ob Observation) bool {
 	if mask&bit == 0 {
 		o.resident[ob.LineAddr] = mask | bit
 		o.accessed++
-		if o.accessed >= g.threshold {
+		if o.accessed >= o.threshold {
 			oldest := (o.current + 1) % numGenerations
-			g.filters[oldest].Clear()
+			o.filters[oldest].Clear()
 			keep := ^(uint8(1) << uint(oldest))
 			for line, m := range o.resident {
 				if nm := m & keep; nm != m {
@@ -168,14 +181,19 @@ type cacheAccess struct {
 	lo, hi int
 }
 
+// oracleBloomSizes are the per-generation Bloom sizes of the
+// differential tests: a roomy power of two, and a small size that
+// reduces by modulo and fills up, so false positives are compared too.
+var oracleBloomSizes = []int{4096, 192}
+
 // checkGenerationalAgainstOracle drives accesses through a cache of
 // geometry cfg and feeds every result to both the frame-keyed tracker
 // and the line-keyed oracle, comparing the conflict bit, Conflicts()
 // and Generations() after each observation.
-func checkGenerationalAgainstOracle(t testing.TB, cfg cache.Config, accesses []cacheAccess) {
+func checkGenerationalAgainstOracle(t testing.TB, cfg cache.Config, bloomBits int, accesses []cacheAccess) {
 	t.Helper()
 	c := cache.MustNew(cfg)
-	gcfg := GenerationalConfig{TotalBlocks: c.NumBlocks(), BloomBitsPerGen: 4096}
+	gcfg := GenerationalConfig{TotalBlocks: c.NumBlocks(), BloomBitsPerGen: bloomBits}
 	flat := MustNewGenerational(gcfg)
 	oracle := newGenerationalOracle(gcfg)
 	for i, a := range accesses {
@@ -214,23 +232,28 @@ func randomAccesses(seed uint64, n, lines, ways int) []cacheAccess {
 func TestGenerationalMatchesMapOracle(t *testing.T) {
 	for _, cfg := range oracleGeometries {
 		blocks := cfg.SizeBytes / cfg.LineBytes
-		checkGenerationalAgainstOracle(t, cfg, randomAccesses(uint64(blocks)+7, 20000, 4*blocks+32, cfg.Ways))
+		for _, bloomBits := range oracleBloomSizes {
+			checkGenerationalAgainstOracle(t, cfg, bloomBits,
+				randomAccesses(uint64(blocks)+7, 20000, 4*blocks+32, cfg.Ways))
+		}
 	}
 }
 
 // FuzzGenerationalMatchesLineOracle decodes arbitrary bytes into a
-// cache geometry and an access stream and checks the frame-keyed
+// cache geometry, a Bloom size and an access stream and checks the frame-keyed
 // tracker against the line-keyed oracle on it.
 func FuzzGenerationalMatchesLineOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{2, 0, 0, 0, 4, 0, 0, 8, 0, 0, 4, 0, 0, 0, 0, 0})
 	f.Add([]byte{3, 10, 1, 1, 74, 5, 2, 138, 9, 3, 10, 13, 0, 10, 1, 1})
 	f.Add([]byte{4, 255, 3, 17, 0, 0, 0, 128, 2, 33, 255, 3, 17})
+	f.Add([]byte{8, 10, 1, 1, 74, 5, 2, 138, 9, 3, 10, 13, 0, 10, 1, 1, 74, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		cfg := oracleGeometries[int(data[0])%len(oracleGeometries)]
+		bloomBits := oracleBloomSizes[int(data[0])/len(oracleGeometries)%len(oracleBloomSizes)]
 		var accesses []cacheAccess
 		for b := data[1:]; len(b) >= 3; b = b[3:] {
 			// Ten line bits, two context bits, and a way partition in
@@ -242,7 +265,7 @@ func FuzzGenerationalMatchesLineOracle(f *testing.F) {
 			}
 			accesses = append(accesses, a)
 		}
-		checkGenerationalAgainstOracle(t, cfg, accesses)
+		checkGenerationalAgainstOracle(t, cfg, bloomBits, accesses)
 	})
 }
 
@@ -251,7 +274,7 @@ func TestIdealObserveDoesNotAllocate(t *testing.T) {
 	stream := randomStream(3, 1024, 256)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Observe(stream[i%len(stream)])
+		tr.Observe(&stream[i%len(stream)])
 		i++
 	})
 	if allocs != 0 {
@@ -264,11 +287,11 @@ func TestGenerationalObserveDoesNotAllocate(t *testing.T) {
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: c.NumBlocks()})
 	stream := make([]Observation, 1024)
 	for i, a := range randomAccesses(4, len(stream), 256, c.Ways()) {
-		stream[i] = observationOf(c.AccessInWays(a.line<<6, a.ctx, a.lo, a.hi), a.ctx)
+		stream[i] = *observationOf(c.AccessInWays(a.line<<6, a.ctx, a.lo, a.hi), a.ctx)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		g.Observe(stream[i%len(stream)])
+		g.Observe(&stream[i%len(stream)])
 		i++
 	})
 	if allocs != 0 {

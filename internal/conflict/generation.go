@@ -2,13 +2,18 @@ package conflict
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cchunter/internal/bloom"
 )
 
 // numGenerations is fixed at four by the paper's design: four
-// generation bits per cache block and four Bloom filters.
-const numGenerations = 4
+// generation bits per cache block and four Bloom filters, one nibble
+// per frame and one bloom.Bank.
+const numGenerations = bloom.BankFilters
+
+// nibbleLow has the lowest bit of every nibble of a word set.
+const nibbleLow = 0x1111111111111111
 
 // Generational is the paper's practical conflict-miss tracker
 // (Figure 9). It approximates the ideal LRU stack with four block
@@ -27,7 +32,7 @@ const numGenerations = 4
 //     conflict miss — the block was evicted before the cache cycled
 //     through its full capacity;
 //   - starting a fifth generation discards the oldest: its Bloom
-//     filter and its metadata bit column are flash-cleared.
+//     filter and its generation bit in every block are flash-cleared.
 //
 // As in the hardware, the generation bits belong to block frames, not
 // to line addresses, so Observe needs a frame-consistent stream (see
@@ -36,21 +41,19 @@ type Generational struct {
 	totalBlocks int
 	threshold   int
 	bitsPerGen  int
-	hashes      int
 
-	filters [numGenerations]*bloom.Filter
-	// probes is the scratch for the per-access Bloom probe positions.
-	// All four filters share one geometry, so an incoming tag is
-	// hashed once and the same positions are checked in each — the
-	// software analogue of the hardware design's shared hash trees.
-	probes []uint64
+	// bank holds the four generations' Bloom filters bit-sliced: bit g
+	// of a position's nibble is generation g's filter bit. The filters
+	// share one geometry, so an incoming tag is hashed once and one
+	// word load per position serves all four — the software analogue
+	// of the hardware design's shared hash trees.
+	bank *bloom.Bank
 
-	// cols[i] is generation i's bit column over the tracked cache's
-	// block frames: bit n is set when the block in frame n (set*Ways+
-	// way, Observation.Node) was accessed in generation i. These are
-	// the paper's per-block generation bits, stored as four flat
-	// columns so a turnover flash-clears one column.
-	cols [numGenerations][]uint64
+	// gens holds the paper's per-block generation bits, one nibble per
+	// tracked-cache frame (Observation.Node), 16 frames per word: bit g
+	// of frame n's nibble is set when the block in frame n was accessed
+	// in generation g. A turnover flash-clears bit g of every nibble.
+	gens []uint64
 
 	current  int // index of the youngest generation
 	accessed int // blocks touched in the current generation
@@ -94,18 +97,12 @@ func NewGenerational(cfg GenerationalConfig) (*Generational, error) {
 		totalBlocks: cfg.TotalBlocks,
 		threshold:   cfg.TotalBlocks / numGenerations,
 		bitsPerGen:  cfg.BloomBitsPerGen,
-		hashes:      cfg.Hashes,
-		probes:      make([]uint64, 0, cfg.Hashes),
+		// Parameters were validated above; a failure here is a bug.
+		bank: bloom.MustNewBank(cfg.BloomBitsPerGen, cfg.Hashes),
+		gens: make([]uint64, (cfg.TotalBlocks+15)/16),
 	}
 	if g.threshold < 1 {
 		g.threshold = 1
-	}
-	for i := range g.cols {
-		g.cols[i] = make([]uint64, (cfg.TotalBlocks+63)/64)
-	}
-	for i := range g.filters {
-		// Parameters were validated above; a failure here is a bug.
-		g.filters[i] = bloom.MustNew(cfg.BloomBitsPerGen, cfg.Hashes)
 	}
 	return g, nil
 }
@@ -125,10 +122,8 @@ func (g *Generational) Name() string { return "generation-bloom" }
 
 // Reset implements Tracker.
 func (g *Generational) Reset() {
-	for i := range g.filters {
-		g.filters[i].Clear()
-		clear(g.cols[i])
-	}
+	g.bank.Reset()
+	clear(g.gens)
 	g.current = 0
 	g.accessed = 0
 	g.conflicts = 0
@@ -137,40 +132,33 @@ func (g *Generational) Reset() {
 
 // Observe implements Tracker. o must be frame-consistent (see
 // Observation) with o.Node in [0, TotalBlocks).
-func (g *Generational) Observe(o Observation) bool {
+func (g *Generational) Observe(o *Observation) bool {
 	conflict := false
-	if !o.Hit {
-		// Check whether the incoming tag was recently prematurely
-		// evicted: a hit in any generation's Bloom filter means the
-		// block was accessed in that generation but replaced to make
-		// room before the cache cycled through full capacity. The tag
-		// is hashed once; the filters share one geometry.
-		g.probes = g.filters[0].AppendProbes(g.probes, o.LineAddr)
-		if bloom.AnyContainsAt(g.filters[:], g.probes) {
-			conflict = true
-			g.conflicts++
-		}
+	// A hit in any live generation's Bloom filter means the block was
+	// accessed in that generation but replaced to make room before the
+	// cache cycled through full capacity. Discarded generations are
+	// flash-cleared, so every set bit of the probe mask is live.
+	if !o.Hit && g.bank.Probe(o.LineAddr) != 0 {
+		conflict = true
+		g.conflicts++
 	}
-	word, bit := o.Node>>6, uint64(1)<<(o.Node&63)
+	word, shift := o.Node>>4, uint(o.Node&15)*4
 	if o.Evicted {
 		// The displaced block lived in the frame the new one now
 		// occupies. Record its tag in the Bloom filter of the latest
 		// generation in which it was accessed, then drop its bits.
-		for age := 0; age < numGenerations; age++ {
-			idx := (g.current - age + numGenerations) % numGenerations
-			if g.cols[idx][word]&bit != 0 {
-				g.filters[idx].Add(o.EvictedLine)
-				break
-			}
+		if nib := g.gens[word] >> shift & 0xF; nib != 0 {
+			// Rotate the nibble so generation current-a lands on bit
+			// 3-a; the highest set bit is then the latest generation.
+			byAge := (nib<<4 | nib) >> uint(g.current+1) & 0xF
+			g.bank.Add((g.current+bits.Len64(byAge))%numGenerations, o.EvictedLine)
 		}
-		for i := range g.cols {
-			g.cols[i][word] &^= bit
-		}
+		g.gens[word] &^= 0xF << shift
 	}
 	// Mark the accessed block in the current generation (emulating
 	// placement at the top of the LRU stack).
-	if col := g.cols[g.current]; col[word]&bit == 0 {
-		col[word] |= bit
+	if bit := uint64(1) << (shift + uint(g.current)); g.gens[word]&bit == 0 {
+		g.gens[word] |= bit
 		g.accessed++
 		if g.accessed >= g.threshold {
 			g.advanceGeneration()
@@ -180,13 +168,17 @@ func (g *Generational) Observe(o Observation) bool {
 }
 
 // advanceGeneration discards the oldest generation and makes its slot
-// the new youngest, flash-clearing its Bloom filter and its bit column.
-// Blocks only ever touched in the discarded generation are left with
-// no bits set: they fell off the bottom of the approximate LRU stack.
+// the new youngest, flash-clearing its Bloom filter and its bit in
+// every frame's nibble. Blocks only ever touched in the discarded
+// generation are left with no bits set: they fell off the bottom of
+// the approximate LRU stack.
 func (g *Generational) advanceGeneration() {
 	oldest := (g.current + 1) % numGenerations
-	g.filters[oldest].Clear()
-	clear(g.cols[oldest])
+	g.bank.Clear(oldest)
+	clearBit := uint64(nibbleLow) << uint(oldest)
+	for i := range g.gens {
+		g.gens[i] &^= clearBit
+	}
 	g.current = oldest
 	g.accessed = 0
 	g.generations++

@@ -86,10 +86,10 @@ func TestIdealAgreesWithDefinition(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		addr := uint64(r.Intn(128)) << 6
 		res := c.Access(addr, 0)
-		got := tr.Observe(Observation{
+		got := tr.Observe(obsOf(cache.Result{
 			LineAddr: res.LineAddr, Set: res.Set, Hit: res.Hit,
 			Evicted: res.Evicted, EvictedLine: res.EvictedLine,
-		})
+		}))
 		// Brute force: reuse distance in distinct lines.
 		want := false
 		if !res.Hit {
@@ -114,11 +114,11 @@ func TestIdealAgreesWithDefinition(t *testing.T) {
 // its eviction is no longer premature.
 func TestGenerationalNeverFlagsBeyondHorizon(t *testing.T) {
 	g := MustNewGenerational(GenerationalConfig{TotalBlocks: 16}) // threshold 4
-	g.Observe(Observation{LineAddr: 9999, Node: 0, Hit: false})
-	g.Observe(Observation{LineAddr: 9998, Node: 0, Hit: false, Evicted: true, EvictedLine: 9999})
+	g.Observe(obsOf(cache.Result{LineAddr: 9999, Node: 0, Hit: false}))
+	g.Observe(obsOf(cache.Result{LineAddr: 9998, Node: 0, Hit: false, Evicted: true, EvictedLine: 9999}))
 	// 5 generations' worth of distinct touches in the other frames.
 	held := roundRobin(g, 100, 5*16, 1, 16)
-	if g.Observe(Observation{LineAddr: 9999, Node: 1, Hit: false, Evicted: true, EvictedLine: held[1]}) {
+	if g.Observe(obsOf(cache.Result{LineAddr: 9999, Node: 1, Hit: false, Evicted: true, EvictedLine: held[1]})) {
 		t.Error("eviction survived past the tracker's horizon")
 	}
 }

@@ -54,7 +54,7 @@ func (t *IdealReference) Reset() {
 }
 
 // Observe implements Tracker.
-func (t *IdealReference) Observe(o Observation) bool {
+func (t *IdealReference) Observe(o *Observation) bool {
 	n, inStack := t.nodes[o.LineAddr]
 	conflict := !o.Hit && inStack
 	if conflict {

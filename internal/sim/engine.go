@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"cchunter/internal/cache"
-	"cchunter/internal/conflict"
+	"math/bits"
+
 	"cchunter/internal/trace"
 )
 
@@ -314,30 +314,25 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 		done, _ := s.ring.Transit(now+lat, stamp, c.id, co.id, addr>>s.lineShift)
 		lat = done - now
 	}
-	var l2 cache.Result
+	ob := &s.l2Obs
+	ob.Ctx = c.id
+	lo, hi := 0, s.l2.Ways()
 	if part := s.cfg.Mitigations.Partition; part != nil {
-		lo, hi := part.WayRange(c.id, s.l2.Ways())
-		l2 = s.l2.AccessInWays(addr, c.id, lo, hi)
-	} else {
-		l2 = s.l2.Access(addr, c.id)
+		lo, hi = part.WayRange(c.id, hi)
 	}
+	s.l2.AccessInto(&ob.Result, addr, c.id, lo, hi)
 	lat += s.l2.HitLatency()
-	if l2.Evicted {
-		// Inclusive hierarchy: an L2 eviction back-invalidates every
-		// core's L1 copy.
-		for _, other := range s.cores {
-			other.l1.InvalidateLine(l2.EvictedLine)
+	bit := coreBit(co.id)
+	if ob.Hit {
+		s.coreValid[ob.Node] |= bit
+	} else {
+		if ob.Evicted {
+			// Inclusive hierarchy: an L2 eviction back-invalidates
+			// every L1 copy, and only cores whose bit is set can hold
+			// one.
+			s.backInvalidate(s.coreValid[ob.Node], ob.EvictedLine)
 		}
-	}
-	ob := conflict.Observation{
-		LineAddr:     l2.LineAddr,
-		Node:         l2.Node,
-		Set:          l2.Set,
-		Ctx:          c.id,
-		Hit:          l2.Hit,
-		Evicted:      l2.Evicted,
-		EvictedLine:  l2.EvictedLine,
-		EvictedOwner: l2.EvictedOwner,
+		s.coreValid[ob.Node] = bit
 	}
 	var isConflict bool
 	if s.trackGen != nil {
@@ -349,23 +344,49 @@ func (s *System) memAccess(c *hwContext, addr uint64, now, stamp uint64) uint64 
 	}
 	if isConflict {
 		victim := trace.NoContext
-		if l2.Evicted {
-			victim = l2.EvictedOwner
+		if ob.Evicted {
+			victim = ob.EvictedOwner
 		}
 		s.emit.OnEvent(trace.Event{
 			Cycle:  stamp,
 			Kind:   trace.KindConflictMiss,
 			Actor:  c.id,
 			Victim: victim,
-			Unit:   l2.Set,
+			Unit:   ob.Set,
 		})
 	}
-	if l2.Hit {
+	if ob.Hit {
 		return lat
 	}
 	busStart := now + lat
 	done, _ := s.bus.Access(busStart, c.id)
 	return (done - now) + s.cfg.MemCycles
+}
+
+// sharedCoreBit is the last core-valid bit: cores sharedCoreBit and up
+// share it, so a frame's bits fit a uint8 at any core count.
+const sharedCoreBit = 7
+
+// coreBit returns core's bit in a core-valid byte.
+func coreBit(core int) uint8 {
+	return 1 << min(core, sharedCoreBit)
+}
+
+// backInvalidate removes lineAddr from the L1 of every core whose bit
+// is set in valid. The shared bit stands for cores sharedCoreBit to
+// N-1, which are all visited.
+func (s *System) backInvalidate(valid uint8, lineAddr uint64) {
+	for valid != 0 {
+		i := bits.TrailingZeros8(valid)
+		valid &= valid - 1
+		if i < sharedCoreBit {
+			s.cores[i].l1.InvalidateLine(lineAddr)
+			continue
+		}
+		for _, co := range s.cores[sharedCoreBit:] {
+			co.l1.InvalidateLine(lineAddr)
+		}
+	}
 }
 
 // Close tears down all still-running program goroutines. Stepper

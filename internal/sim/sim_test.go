@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"cchunter/internal/obs"
@@ -482,4 +483,40 @@ func TestTrackerKindSelectable(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+func TestNewRejectsBadConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"no cores":         func(c *Config) { c.Cores = 0 },
+		"no threads":       func(c *Config) { c.ThreadsPerCore = 0 },
+		"zero quantum":     func(c *Config) { c.QuantumCycles = 0 },
+		"bad faults":       func(c *Config) { c.Faults.DropProb = 2 },
+		"negative batch":   func(c *Config) { c.EventBatch = -1 },
+		"bad L2 geometry":  func(c *Config) { c.L2.LineBytes = 48 },
+		"bad L1 geometry":  func(c *Config) { c.L1.Ways = 0 },
+		"256 contexts":     func(c *Config) { c.Cores, c.ThreadsPerCore = 128, 2 },
+		"300 contexts":     func(c *Config) { c.Cores, c.ThreadsPerCore = 300, 1 },
+		"L1 lines shorter": func(c *Config) { c.L1.LineBytes, c.L1.SizeBytes = 32, 16<<10 },
+		"L2 lines longer":  func(c *Config) { c.L2.LineBytes = 128 },
+	} {
+		cfg := TestConfig()
+		mutate(&cfg)
+		s, err := New(cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: New accepted the configuration", name)
+			continue
+		}
+		if !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: error %v does not wrap ErrBadConfig", name, err)
+		}
+	}
+	// 255 contexts is the most that leave trace.NoContext unused.
+	cfg := TestConfig()
+	cfg.Cores, cfg.ThreadsPerCore = 255, 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("255 contexts rejected: %v", err)
+	}
+	s.Close()
 }

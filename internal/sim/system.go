@@ -90,7 +90,18 @@ type System struct {
 	// is selected (the default): the hot path then observes through a
 	// concrete pointer — a direct, inlinable call — instead of an
 	// interface dispatch per L2 access.
-	trackGen  *conflict.Generational
+	trackGen *conflict.Generational
+	// l2Obs is the L2 access result the tracker reads: the L2 fills
+	// it in place and the tracker takes it by pointer, so the
+	// per-access path copies no struct.
+	l2Obs conflict.Observation
+	// coreValid holds one byte per L2 frame (cache.Result.Node): bit i
+	// is set when core i's L1 may hold the frame's line, cores 7 and up
+	// sharing bit 7, as on inclusive LLCs. An L1 install always passes
+	// through the L2 access that sets its bit, and an L2 install
+	// resets the byte, so the bits are a superset of the true holders
+	// and back-invalidation need only visit the marked L1s.
+	coreValid []uint8
 	bus       *bus.Bus
 	ring      *ring.Ring // nil unless cfg.Ring.Stops > 0
 	lineShift uint       // log2(L2 line bytes), for ring slice hashing
@@ -145,6 +156,16 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("%w: EventBatch must be >= 0, got %d",
 			ErrBadConfig, cfg.EventBatch)
 	}
+	if n := cfg.Contexts(); n > int(trace.NoContext) {
+		// Context ids are uint8 and NoContext (255) is reserved.
+		return nil, fmt.Errorf("%w: %d hardware contexts, at most %d are addressable",
+			ErrBadConfig, n, int(trace.NoContext))
+	}
+	if cfg.L1.LineBytes != cfg.L2.LineBytes {
+		// Back-invalidation hands the L2's line address to the L1s.
+		return nil, fmt.Errorf("%w: L1 line size %d differs from L2 line size %d",
+			ErrBadConfig, cfg.L1.LineBytes, cfg.L2.LineBytes)
+	}
 	s := &System{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
 	s.mOps = cfg.Metrics.Counter("sim.ops")
 	s.mSwitches = cfg.Metrics.Counter("sim.ctx_switches")
@@ -171,6 +192,7 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("%w: L2: %v", ErrBadConfig, err)
 	}
 	s.l2 = l2
+	s.coreValid = make([]uint8, l2.NumBlocks())
 	for b := cfg.L2.LineBytes; b > 1; b >>= 1 {
 		s.lineShift++
 	}
