@@ -32,12 +32,13 @@ type BurstConfig struct {
 	DominantClusterShare float64
 	// Seed drives the (deterministic) k-means initialization.
 	Seed uint64
-	// Workspace, when non-nil, supplies the recurrence clustering's
-	// scratch (point-matrix headers, centroid arena, assignment and
-	// distance vectors), so repeated burst analyses run allocation-flat.
-	// Borrowed only for the duration of each analyzeRecurrence call;
-	// must not be shared across goroutines. Results are bit-identical
-	// with or without it (see TestKmeansWorkspaceMatchesReference).
+	// Workspace supplies the recurrence clustering's scratch
+	// (point-matrix headers, centroid arena, assignment and distance
+	// vectors), so repeated burst analyses run allocation-flat; nil
+	// selects a fresh workspace per call. Borrowed only for the
+	// duration of each analyzeRecurrence call; must not be shared
+	// across goroutines. The workspace clustering matches the reference
+	// stats.KMeans bit for bit (TestKmeansWorkspaceMatchesReference).
 	Workspace *stats.KmeansWorkspace
 }
 
@@ -197,15 +198,15 @@ func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg Bu
 	if threshold < 1 {
 		threshold = 1
 	}
+	ws := cfg.Workspace
+	if ws == nil {
+		ws = new(stats.KmeansWorkspace)
+	}
 	// The point matrix is pooled: each feature vector is borrowed for
 	// the duration of the clustering and returned on every exit path.
-	// With a workspace, the row-header array is workspace scratch too —
-	// burstQuanta never exceeds len(records), so the appends below can
-	// never outgrow it.
-	var burstFeatures [][]float64
-	if cfg.Workspace != nil {
-		burstFeatures = cfg.Workspace.PointRows(len(records))
-	}
+	// The row-header array is workspace scratch — burstQuanta never
+	// exceeds len(records), so the appends below can never outgrow it.
+	burstFeatures := ws.PointRows(len(records))
 	defer func() {
 		for _, f := range burstFeatures {
 			pool.PutFloat64s(f)
@@ -230,27 +231,15 @@ func analyzeRecurrence(records []auditor.QuantumHistogram, threshold int, cfg Bu
 		k = limit
 	}
 	rng := stats.SeededRNG(cfg.Seed)
-	var assign []int
-	var err error
-	if cfg.Workspace != nil {
-		assign, _, err = cfg.Workspace.KMeans(burstFeatures, k, 100, &rng)
-	} else {
-		assign, _, err = stats.KMeans(burstFeatures, k, 100, &rng)
-	}
+	assign, _, err := ws.KMeans(burstFeatures, k, 100, &rng)
 	if err != nil {
 		// Unclusterable features (cannot happen for the fixed-width
 		// discretization above, but a supervised detector degrades
 		// rather than crashes): no recurrence can be established.
 		return burstQuanta, 0, false
 	}
-	var sizes []int
-	if cfg.Workspace != nil {
-		sizes = cfg.Workspace.ClusterSizes(assign, k)
-	} else {
-		sizes = stats.ClusterSizes(assign, k)
-	}
 	largest := 0
-	for _, s := range sizes {
+	for _, s := range ws.ClusterSizes(assign, k) {
 		if s > largest {
 			largest = s
 		}

@@ -194,35 +194,41 @@ type Injector struct {
 
 	outBuf []trace.Event // survivors of the batch being processed
 
-	// Live metrics, published per delivery (see Instrument). Gauges
-	// mirror the Stats counters so a metrics endpoint shows sensor
-	// degradation while the run is in flight.
-	mSeen, mDelivered, mLost, mCorrupted *obs.Gauge
+	// Live metrics, published per delivery (see Instrument), so a
+	// metrics endpoint shows sensor degradation while the run is in
+	// flight. pub holds the totals already published: each publish adds
+	// only the delta, so injectors sharing a registry sum.
+	mSeen, mDelivered, mLost, mCorrupted *obs.Counter
+	pub                                  struct{ seen, delivered, lost, corrupted uint64 }
 }
 
 // Instrument points the injector at a metrics registry. After every
-// delivery the injector publishes its seen/delivered/lost/corrupted
-// totals as gauges. A nil registry disables publishing.
+// delivery the injector adds its seen/delivered/lost/corrupted counts
+// since the previous delivery to the registry's counters. A nil
+// registry disables publishing.
 func (in *Injector) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	in.mSeen = reg.Gauge("faults.seen")
-	in.mDelivered = reg.Gauge("faults.delivered")
-	in.mLost = reg.Gauge("faults.lost")
-	in.mCorrupted = reg.Gauge("faults.corrupted")
+	in.mSeen = reg.Counter("faults.seen")
+	in.mDelivered = reg.Counter("faults.delivered")
+	in.mLost = reg.Counter("faults.lost")
+	in.mCorrupted = reg.Counter("faults.corrupted")
 }
 
-// publish pushes the current Stats totals into the gauges.
+// publish adds the Stats deltas since the last publish to the counters.
 func (in *Injector) publish() {
 	if in.mSeen == nil {
 		return
 	}
-	in.mSeen.Set(int64(in.st.Seen))
-	in.mDelivered.Set(int64(in.st.Delivered))
-	in.mLost.Set(int64(in.st.Lost()))
-	in.mCorrupted.Set(int64(in.st.Jittered + in.st.Duplicated + in.st.Reordered +
-		in.st.CtxFlipped + in.st.CtxSmeared))
+	lost := in.st.Lost()
+	corrupted := in.st.Jittered + in.st.Duplicated + in.st.Reordered +
+		in.st.CtxFlipped + in.st.CtxSmeared
+	in.mSeen.Add(in.st.Seen - in.pub.seen)
+	in.mDelivered.Add(in.st.Delivered - in.pub.delivered)
+	in.mLost.Add(lost - in.pub.lost)
+	in.mCorrupted.Add(corrupted - in.pub.corrupted)
+	in.pub.seen, in.pub.delivered, in.pub.lost, in.pub.corrupted = in.st.Seen, in.st.Delivered, lost, corrupted
 }
 
 // NewInjector validates cfg and builds an injector forwarding to out.

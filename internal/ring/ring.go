@@ -36,7 +36,6 @@ func DefaultConfig() Config {
 type Ring struct {
 	cfg       Config
 	sliceMask uint64 // stops-1 when Stops is a power of two, else 0
-	busyFrom  []uint64
 	busyUntil []uint64
 	occupant  []uint8
 
@@ -58,7 +57,6 @@ func New(cfg Config, l trace.Listener) *Ring {
 	n := 2 * cfg.Stops
 	r := &Ring{
 		cfg:       cfg,
-		busyFrom:  make([]uint64, n),
 		busyUntil: make([]uint64, n),
 		occupant:  make([]uint8, n),
 		listener:  l,
@@ -136,7 +134,6 @@ func (r *Ring) Transit(now, stamp uint64, ctx uint8, core int, lineAddr uint64) 
 				}
 			}
 		}
-		r.busyFrom[seg] = start
 		busyUntil[seg] = start + hop
 		r.occupant[seg] = ctx
 		cursor = start + hop

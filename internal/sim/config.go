@@ -35,24 +35,6 @@ const (
 	TrackerIdeal
 )
 
-// Driver selects how the engine executes programs.
-type Driver int
-
-const (
-	// DriverStep (the default) executes programs implementing Stepper
-	// with direct calls — no goroutine, no channel round-trip, no
-	// per-op allocation. Programs implementing only the blocking
-	// Program interface still run on the goroutine driver.
-	DriverStep Driver = iota
-	// DriverGoroutine forces every program through the legacy
-	// goroutine-per-process channel driver. It is kept as the
-	// differential-test reference for the step engine (the way
-	// conflict.IdealReference pins the generational tracker): both
-	// drivers execute the identical op stream, so all results must be
-	// byte-identical.
-	DriverGoroutine
-)
-
 // Config describes the simulated machine.
 type Config struct {
 	// Cores is the number of physical cores (paper: 4).
@@ -122,12 +104,6 @@ type Config struct {
 	// golden-verdict suite pins this). Nil (the default) selects the
 	// no-op fast path.
 	Metrics *obs.Registry
-	// Driver selects the program-execution driver: the coroutine-free
-	// step engine (default) or the goroutine reference driver. Purely
-	// an execution-strategy knob — results are byte-identical either
-	// way (pinned by the driver differential tests and the golden
-	// corpus).
-	Driver Driver
 	// EventBatch sets the event-delivery batch size between the
 	// hardware units and the fault-injector/listener chain. 0 selects
 	// trace.DefaultBatchSize; 1 disables batching and delivers each

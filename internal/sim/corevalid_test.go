@@ -99,7 +99,6 @@ func TestCoreValidBackInvalidationMatchesBroadcast(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := coreValidConfig(tc.cores, tc.threads, tc.partitioned)
 			s := MustNew(cfg)
-			defer s.Close()
 			ref := newBroadcastHierarchy(cfg)
 			r := stats.NewRNG(uint64(tc.cores*10 + tc.threads))
 			where := make([]*hwContext, procs)
@@ -137,7 +136,7 @@ func TestCoreValidBackInvalidationMatchesBroadcast(t *testing.T) {
 	}
 }
 
-// randomLoader is a Stepper issuing n loads over `lines` lines, which
+// randomLoader is a Program issuing n loads over `lines` lines, which
 // runs check before every op it issues, i.e. after every op the
 // engine has executed so far.
 type randomLoader struct {
@@ -148,7 +147,6 @@ type randomLoader struct {
 }
 
 func (l *randomLoader) Name() string     { return "random-loader" }
-func (l *randomLoader) Run(m *Machine)   { RunSteps(l, m) }
 func (l *randomLoader) Begin(m *Machine) {}
 func (l *randomLoader) Step(OpResult) (Op, bool) {
 	l.check()
@@ -182,7 +180,6 @@ func TestCoreValidInvariantUnderMigration(t *testing.T) {
 			s.Spawn(&randomLoader{r: stats.NewRNG(uint64(p + 1)), lines: lines, n: 1500, check: check})
 		}
 		s.Run(1 << 40)
-		s.Close()
 		if s.SchedStats().Migrations == 0 || s.l2.Stats().Evictions == 0 {
 			t.Errorf("partitioned=%v: %d migrations, %d L2 evictions; want both > 0",
 				partitioned, s.SchedStats().Migrations, s.l2.Stats().Evictions)

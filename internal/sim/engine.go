@@ -13,17 +13,9 @@ import (
 // the smallest clock, breaking ties by context ID (the heap order of
 // ctxheap.go).
 //
-// Stepper programs execute on the coroutine-free path: the engine
-// pulls each op with a direct Step call and stores it by value, so the
-// steady-state op loop performs no channel operation and no heap
-// allocation. Programs implementing only the blocking interface run on
-// the goroutine driver, one channel round-trip per op, with the
-// pending op likewise held by value (the old `p.pending = &req` per-op
-// escape is gone on both paths).
+// The engine pulls each op with a direct Step call and stores it by
+// value, so the steady-state op loop performs no heap allocation.
 func (s *System) Run(until uint64) {
-	if s.closed {
-		panic("sim: Run after Close")
-	}
 	if !s.started {
 		s.started = true
 		s.heapInit()
@@ -38,77 +30,47 @@ func (s *System) Run(until uint64) {
 		}
 		p := c.runq[0]
 		if !p.started {
-			s.startProc(p)
+			p.started = true
+			p.prog.Begin(p.machine)
 		}
 		if p.done {
 			s.reapProc(c, p)
 			continue
 		}
-		if !p.hasPend {
-			// Stepper fetch inlined: this runs once per op, and the call
-			// through fetchOp costs a visible fraction of the whole run.
-			if p.step != nil {
-				op, ok := p.step.Step(p.last)
-				if !ok {
-					p.done = true
-					s.reapProc(c, p)
-					continue
-				}
-				p.pendOp, p.hasPend = op, true
-			} else if !s.fetchOp(p) {
-				s.reapProc(c, p)
-				continue
-			}
+		if !p.hasPend && !p.fetch() {
+			s.reapProc(c, p)
+			continue
 		}
 		if c.clock >= c.quantumEnd {
 			s.quantumBoundary(c)
 			continue // placement may have changed; re-pick
 		}
 		p.hasPend = false
-		res := s.execute(c, &p.pendOp)
-		if p.step != nil {
-			p.last = res
-		} else {
-			p.respCh <- response{now: res.Now, latency: res.Latency}
-		}
+		p.last = s.execute(c, &p.pendOp)
 	}
 }
 
-// fetchOp obtains the process's next operation — a direct Step call on
-// the coroutine-free path, a channel receive from the program
-// goroutine otherwise — and stores it by value in p.pendOp. It returns
-// false (marking the process done) when the program has finished.
-func (s *System) fetchOp(p *Process) bool {
-	if p.step != nil {
-		op, ok := p.step.Step(p.last)
-		if !ok {
-			p.done = true
-			return false
-		}
-		p.pendOp, p.hasPend = op, true
-		return true
-	}
-	op, ok := <-p.reqCh
-	if !ok {
-		p.done = true
-		return false
-	}
-	p.pendOp, p.hasPend = op, true
-	return true
+// fetch obtains the process's next operation with a Step call and
+// stores it by value in p.pendOp. It returns false (marking the process
+// done) when the program has finished. Small enough to inline into the
+// op loop, where it runs once per op.
+func (p *Process) fetch() bool {
+	p.pendOp, p.hasPend = p.prog.Step(p.last)
+	p.done = !p.hasPend
+	return p.hasPend
 }
 
 // quiesce parks every running program at an op boundary: the next
 // operation is prefetched (advancing program-side state up to the
 // point of issuing it), so the caller can safely read program state
 // (decoded bits, latency series) knowing every completed op's effects
-// have been applied. On the goroutine driver this doubles as the
-// synchronization point proving the goroutine is blocked.
+// have been applied.
 func (s *System) quiesce() {
 	for _, p := range s.procs {
 		if !p.started || p.done || p.hasPend {
 			continue
 		}
-		if !s.fetchOp(p) && p.ctx != nil {
+		if !p.fetch() && p.ctx != nil {
 			s.reapProc(p.ctx, p)
 		}
 	}
@@ -123,27 +85,6 @@ func (s *System) quiesce() {
 		s.injector.Flush()
 	}
 	s.publishMetrics()
-}
-
-// startProc activates a process on first schedule. Steppers get the
-// direct driver (no goroutine) unless the configuration forces the
-// goroutine reference driver for differential testing.
-func (s *System) startProc(p *Process) {
-	p.started = true
-	if st, ok := p.prog.(Stepper); ok && s.cfg.Driver != DriverGoroutine {
-		p.step = st
-		st.Begin(p.machine)
-		return
-	}
-	go func() {
-		defer close(p.reqCh)
-		defer func() {
-			if r := recover(); r != nil && r != errStopped {
-				panic(r)
-			}
-		}()
-		p.prog.Run(p.machine)
-	}()
 }
 
 // reapProc removes a finished process from its context's run queue.
@@ -386,37 +327,5 @@ func (s *System) backInvalidate(valid uint8, lineAddr uint64) {
 		for _, co := range s.cores[sharedCoreBit:] {
 			co.l1.InvalidateLine(lineAddr)
 		}
-	}
-}
-
-// Close tears down all still-running program goroutines. Stepper
-// processes have no goroutine: they are simply marked done. The system
-// cannot be used afterwards.
-func (s *System) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, p := range s.procs {
-		if !p.started || p.done {
-			continue
-		}
-		if p.step != nil {
-			p.done = true
-			p.hasPend = false
-			continue
-		}
-		if !p.hasPend {
-			if _, ok := <-p.reqCh; !ok {
-				p.done = true
-				continue
-			}
-		}
-		p.hasPend = false
-		p.respCh <- response{stop: true}
-		for range p.reqCh {
-			// drain until the goroutine closes the channel
-		}
-		p.done = true
 	}
 }

@@ -5,18 +5,89 @@ import (
 	"testing"
 
 	"cchunter/internal/obs"
-
+	"cchunter/internal/tlb"
 	"cchunter/internal/trace"
 )
 
+// stepFunc is the Program the tests spawn: fn returns op number n
+// (counting from 0) given the previous op's result, the zero OpResult
+// when n is 0, and false once the program is done.
+type stepFunc struct {
+	name string
+	fn   func(m *Machine, n int, prev OpResult) (Op, bool)
+	m    *Machine
+	n    int
+}
+
+func program(name string, fn func(m *Machine, n int, prev OpResult) (Op, bool)) *stepFunc {
+	return &stepFunc{name: name, fn: fn}
+}
+
+func (p *stepFunc) Name() string     { return p.name }
+func (p *stepFunc) Begin(m *Machine) { p.m = m }
+func (p *stepFunc) Step(prev OpResult) (Op, bool) {
+	op, ok := p.fn(p.m, p.n, prev)
+	p.n++
+	return op, ok
+}
+
+// busy computes 1000 cycles at a time, forever.
+func busy(*Machine, int, OpResult) (Op, bool) {
+	return Op{Kind: OpCompute, Cycles: 1000}, true
+}
+
+// hammer divides back-to-back, forever.
+func hammer(*Machine, int, OpResult) (Op, bool) {
+	return Op{Kind: OpDiv}, true
+}
+
+// clockReader computes `cycles` cycles and then reads the clock into
+// *out, forever.
+func clockReader(cycles uint64, out *[]uint64) func(*Machine, int, OpResult) (Op, bool) {
+	return func(_ *Machine, n int, prev OpResult) (Op, bool) {
+		if n%2 == 1 {
+			return Op{Kind: OpNow}, true
+		}
+		if n > 0 {
+			*out = append(*out, prev.Now)
+		}
+		return Op{Kind: OpCompute, Cycles: cycles}, true
+	}
+}
+
+// pingpongSlot is the slot length of pingpong.
+const pingpongSlot = 50_000
+
+// pingpong loads every way of L2 sets 0–7 in alternating time slots,
+// the way the cache channel's prime and probe phases alternate: slot
+// 2i+phase of iteration i starts with a WaitUntil, then the loads.
+func pingpong(phase uint64) func(*Machine, int, OpResult) (Op, bool) {
+	return func(m *Machine, n int, _ OpResult) (Op, bool) {
+		ways := m.Geometry().L2Ways
+		per := 1 + 8*ways
+		i, k := uint64(n/per), n%per
+		if k == 0 {
+			return Op{Kind: OpWaitUntil, Cycles: (2*i + phase) * pingpongSlot}, true
+		}
+		k--
+		return Op{Kind: OpLoad, Addr: m.L2AddrForSet(uint32(k/ways), k%ways)}, true
+	}
+}
+
 func TestComputeAdvancesClock(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	var end uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		m.Compute(1000)
-		m.Compute(500)
-		end = m.Now()
+	s.Spawn(program("p", func(_ *Machine, n int, prev OpResult) (Op, bool) {
+		switch n {
+		case 0:
+			return Op{Kind: OpCompute, Cycles: 1000}, true
+		case 1:
+			return Op{Kind: OpCompute, Cycles: 500}, true
+		case 2:
+			return Op{Kind: OpNow}, true
+		}
+		end = prev.Now
+		return Op{}, false
 	}))
 	s.Run(1_000_000)
 	if end != 1500 {
@@ -26,21 +97,30 @@ func TestComputeAdvancesClock(t *testing.T) {
 
 func TestLoadLatencies(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	var cold, l1hit, l2hit uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
+	s.Spawn(program("p", func(m *Machine, n int, prev OpResult) (Op, bool) {
 		addr := m.PrivateAddr(7)
-		cold = m.Load(addr)  // miss everywhere
-		l1hit = m.Load(addr) // L1 hit
+		geo := m.Geometry()
+		switch n {
+		case 0: // miss everywhere
+			return Op{Kind: OpLoad, Addr: addr}, true
+		case 1: // L1 hit
+			cold = prev.Latency
+			return Op{Kind: OpLoad, Addr: addr}, true
+		case 2:
+			l1hit = prev.Latency
+		case geo.L1Ways + 2:
+			return Op{Kind: OpLoad, Addr: addr}, true
+		case geo.L1Ways + 3:
+			l2hit = prev.Latency
+			return Op{}, false
+		}
 		// Evict addr from the 8-way L1 set but not from L2: touch 8
 		// more lines mapping to the same L1 set (64 L1 sets; stride 64
 		// lines in line-index space re-hits the same L1 set while
 		// spreading across L2 sets only as far as the geometry says).
-		geo := m.Geometry()
-		for i := 1; i <= geo.L1Ways; i++ {
-			m.Load(m.PrivateAddr(7 + uint64(i*geo.L1Sets)))
-		}
-		l2hit = m.Load(addr)
+		i := n - 1
+		return Op{Kind: OpLoad, Addr: m.PrivateAddr(7 + uint64(i*geo.L1Sets))}, true
 	}))
 	s.Run(10_000_000)
 	cfg := TestConfig()
@@ -65,18 +145,21 @@ func TestDeterminism(t *testing.T) {
 		cfg := TestConfig()
 		cfg.MigrationProb = 0.5
 		s := MustNew(cfg)
-		defer s.Close()
 		rec := trace.NewRecorder()
 		s.AddListener(rec)
 		for i := 0; i < 4; i++ {
 			i := i
-			s.Spawn(NewProgram("worker", func(m *Machine) {
-				for j := 0; ; j++ {
-					m.AtomicUnaligned(m.PrivateAddr(uint64(j)))
-					m.DivN(3)
-					m.Compute(uint64(100 * (i + 1)))
-					m.Load(m.PrivateAddr(uint64(j % 64)))
+			s.Spawn(program("worker", func(m *Machine, n int, _ OpResult) (Op, bool) {
+				j := uint64(n / 4)
+				switch n % 4 {
+				case 0:
+					return Op{Kind: OpAtomicUnaligned, Addr: m.PrivateAddr(j)}, true
+				case 1:
+					return Op{Kind: OpDivN, Count: 3}, true
+				case 2:
+					return Op{Kind: OpCompute, Cycles: uint64(100 * (i + 1))}, true
 				}
+				return Op{Kind: OpLoad, Addr: m.PrivateAddr(j % 64)}, true
 			}))
 		}
 		s.Run(3_000_000)
@@ -100,20 +183,22 @@ func TestEventStreamMonotonic(t *testing.T) {
 	// The recorder panics on out-of-order events; drive a busy mixed
 	// workload (batches included) to exercise the stamping rules.
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder()
 	s.AddListener(rec)
 	for i := 0; i < 6; i++ {
-		s.Spawn(NewProgram("mix", func(m *Machine) {
-			addrs := make([]uint64, 16)
-			for j := 0; ; j++ {
+		addrs := make([]uint64, 16)
+		s.Spawn(program("mix", func(m *Machine, n int, _ OpResult) (Op, bool) {
+			switch n % 3 {
+			case 0:
+				j := n / 3
 				for k := range addrs {
 					addrs[k] = m.PrivateAddr(uint64(j*16 + k))
 				}
-				m.LoadN(addrs)
-				m.DivN(8)
-				m.AtomicUnaligned(0)
+				return Op{Kind: OpLoadN, Addrs: addrs}, true
+			case 1:
+				return Op{Kind: OpDivN, Count: 8}, true
 			}
+			return Op{Kind: OpAtomicUnaligned, Addr: 0}, true
 		}))
 	}
 	s.Run(2_000_000)
@@ -124,13 +209,10 @@ func TestEventStreamMonotonic(t *testing.T) {
 
 func TestBusLockEventsEmitted(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindBusLock)
 	s.AddListener(rec)
-	s.Spawn(NewProgram("locker", func(m *Machine) {
-		for i := 0; i < 10; i++ {
-			m.AtomicUnaligned(0)
-		}
+	s.Spawn(program("locker", func(_ *Machine, n int, _ OpResult) (Op, bool) {
+		return Op{Kind: OpAtomicUnaligned, Addr: 0}, n < 10
 	}))
 	s.Run(10_000_000)
 	if rec.Train().Len() != 10 {
@@ -143,16 +225,10 @@ func TestBusLockEventsEmitted(t *testing.T) {
 
 func TestDividerContentionBetweenHyperthreads(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
-	hammer := func(m *Machine) {
-		for {
-			m.Div()
-		}
-	}
-	s.Spawn(NewProgram("t", hammer), Pin(0))
-	s.Spawn(NewProgram("s", hammer), Pin(1)) // same core, other thread
+	s.Spawn(program("t", hammer), Pin(0))
+	s.Spawn(program("s", hammer), Pin(1)) // same core, other thread
 	s.Run(100_000)
 	if rec.Train().Len() == 0 {
 		t.Fatal("no contention between hyperthreads")
@@ -169,16 +245,10 @@ func TestDividerContentionBetweenHyperthreads(t *testing.T) {
 
 func TestNoDividerContentionAcrossCores(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindDivContention)
 	s.AddListener(rec)
-	hammer := func(m *Machine) {
-		for {
-			m.Div()
-		}
-	}
-	s.Spawn(NewProgram("a", hammer), Pin(0))
-	s.Spawn(NewProgram("b", hammer), Pin(2)) // different core
+	s.Spawn(program("a", hammer), Pin(0))
+	s.Spawn(program("b", hammer), Pin(2)) // different core
 	s.Run(100_000)
 	if rec.Train().Len() != 0 {
 		t.Errorf("cross-core divider contention should be impossible, got %d events",
@@ -188,28 +258,12 @@ func TestNoDividerContentionAcrossCores(t *testing.T) {
 
 func TestConflictMissEventsOnSharedL2(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	rec := trace.NewRecorder(trace.KindConflictMiss)
 	s.AddListener(rec)
 	// Two hyperthreads ping-pong on the same L2 sets in alternating
-	// time slots, the way the covert channel's prime and probe phases
-	// alternate.
-	const slot = 50_000
-	pingpong := func(phase uint64) func(m *Machine) {
-		return func(m *Machine) {
-			geo := m.Geometry()
-			for i := uint64(0); ; i++ {
-				m.WaitUntil((2*i + phase) * slot)
-				for set := uint32(0); set < 8; set++ {
-					for w := 0; w < geo.L2Ways; w++ {
-						m.Load(m.L2AddrForSet(set, w))
-					}
-				}
-			}
-		}
-	}
-	s.Spawn(NewProgram("t", pingpong(0)), Pin(0))
-	s.Spawn(NewProgram("s", pingpong(1)), Pin(1))
+	// time slots.
+	s.Spawn(program("t", pingpong(0)), Pin(0))
+	s.Spawn(program("s", pingpong(1)), Pin(1))
 	s.Run(3_000_000)
 	if rec.Train().Len() == 0 {
 		t.Fatal("no conflict misses on contended sets")
@@ -228,11 +282,17 @@ func TestConflictMissEventsOnSharedL2(t *testing.T) {
 
 func TestWaitUntilAndSleep(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	var a, b uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		a = m.WaitUntil(5000)
-		b = m.WaitUntil(100) // already past: no-op
+	s.Spawn(program("p", func(_ *Machine, n int, prev OpResult) (Op, bool) {
+		switch n {
+		case 0:
+			return Op{Kind: OpWaitUntil, Cycles: 5000}, true
+		case 1:
+			a = prev.Now
+			return Op{Kind: OpWaitUntil, Cycles: 100}, true // already past: no-op
+		}
+		b = prev.Now
+		return Op{}, false
 	}))
 	s.Run(1_000_000)
 	if a != 5000 || b != 5000 {
@@ -246,20 +306,9 @@ func TestQuantumRoundRobin(t *testing.T) {
 	cfg.ThreadsPerCore = 1
 	cfg.QuantumCycles = 10_000
 	s := MustNew(cfg)
-	defer s.Close()
 	var aSlices, bSlices []uint64
-	s.Spawn(NewProgram("a", func(m *Machine) {
-		for {
-			m.Compute(1000)
-			aSlices = append(aSlices, m.Now())
-		}
-	}))
-	s.Spawn(NewProgram("b", func(m *Machine) {
-		for {
-			m.Compute(1000)
-			bSlices = append(bSlices, m.Now())
-		}
-	}))
+	s.Spawn(program("a", clockReader(1000, &aSlices)))
+	s.Spawn(program("b", clockReader(1000, &bSlices)))
 	s.Run(100_000)
 	if len(aSlices) == 0 || len(bSlices) == 0 {
 		t.Fatal("both processes must get CPU time on one context")
@@ -279,12 +328,7 @@ func TestMigration(t *testing.T) {
 	cfg.QuantumCycles = 5_000
 	cfg.MigrationProb = 1.0
 	s := MustNew(cfg)
-	defer s.Close()
-	s.Spawn(NewProgram("wanderer", func(m *Machine) {
-		for {
-			m.Compute(1000)
-		}
-	}))
+	s.Spawn(program("wanderer", busy))
 	s.Run(200_000)
 	if s.SchedStats().Migrations == 0 {
 		t.Error("expected migrations with probability 1")
@@ -304,16 +348,11 @@ func TestSchedMetricsSumAcrossRuns(t *testing.T) {
 		cfg.Seed = uint64(run + 1)
 		s := MustNew(cfg)
 		for p := 0; p < cfg.Contexts()+4; p++ {
-			s.Spawn(NewProgram("busy", func(m *Machine) {
-				for {
-					m.Compute(1000)
-				}
-			}))
+			s.Spawn(program("busy", busy))
 		}
 		s.Run(100_000)
 		s.Run(200_000)
 		st := s.SchedStats()
-		s.Close()
 		if st.ContextSwitches == 0 || st.Migrations == 0 {
 			t.Fatalf("run %d: no scheduling activity: %+v", run, st)
 		}
@@ -333,12 +372,7 @@ func TestPinnedNeverMigrates(t *testing.T) {
 	cfg.QuantumCycles = 5_000
 	cfg.MigrationProb = 1.0
 	s := MustNew(cfg)
-	defer s.Close()
-	s.Spawn(NewProgram("pinned", func(m *Machine) {
-		for {
-			m.Compute(1000)
-		}
-	}), Pin(3))
+	s.Spawn(program("pinned", busy), Pin(3))
 	s.Run(200_000)
 	if s.SchedStats().Migrations != 0 {
 		t.Errorf("pinned process migrated %d times", s.SchedStats().Migrations)
@@ -347,9 +381,8 @@ func TestPinnedNeverMigrates(t *testing.T) {
 
 func TestProcessCompletion(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	p := s.Spawn(NewProgram("finite", func(m *Machine) {
-		m.Compute(100)
+	p := s.Spawn(program("finite", func(_ *Machine, n int, _ OpResult) (Op, bool) {
+		return Op{Kind: OpCompute, Cycles: 100}, n == 0
 	}))
 	s.Run(1_000_000)
 	if !p.Done() {
@@ -362,14 +395,8 @@ func TestProcessCompletion(t *testing.T) {
 
 func TestRunIsResumable(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	var ticks []uint64
-	s.Spawn(NewProgram("p", func(m *Machine) {
-		for {
-			m.Compute(10_000)
-			ticks = append(ticks, m.Now())
-		}
-	}))
+	s.Spawn(program("p", clockReader(10_000, &ticks)))
 	s.Run(50_000)
 	n1 := len(ticks)
 	s.Run(100_000)
@@ -381,34 +408,22 @@ func TestRunIsResumable(t *testing.T) {
 	}
 }
 
-func TestCloseStopsPrograms(t *testing.T) {
-	s := MustNew(TestConfig())
-	s.Spawn(NewProgram("loop", func(m *Machine) {
-		for {
-			m.Compute(100)
-		}
-	}))
-	s.Run(10_000)
-	s.Close()
-	s.Close() // idempotent
-}
-
 func TestSpawnAfterRunPanics(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
-	s.Spawn(NewProgram("p", func(m *Machine) { m.Compute(1) }))
+	s.Spawn(program("p", func(_ *Machine, n int, _ OpResult) (Op, bool) {
+		return Op{Kind: OpCompute, Cycles: 1}, n == 0
+	}))
 	s.Run(100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Spawn(NewProgram("late", func(m *Machine) {}))
+	s.Spawn(program("late", func(*Machine, int, OpResult) (Op, bool) { return Op{}, false }))
 }
 
 func TestGeometry(t *testing.T) {
 	s := MustNew(DefaultConfig())
-	defer s.Close()
 	g := s.Geometry()
 	if g.Contexts != 8 || g.Cores != 4 || g.ThreadsPerCore != 2 {
 		t.Errorf("geometry: %+v", g)
@@ -442,14 +457,19 @@ func TestCyclesHelpers(t *testing.T) {
 
 func TestPrivateAddressesDoNotAlias(t *testing.T) {
 	s := MustNew(TestConfig())
-	defer s.Close()
 	var lat1 uint64
-	s.Spawn(NewProgram("a", func(m *Machine) {
-		m.Load(m.PrivateAddr(1))
+	s.Spawn(program("a", func(m *Machine, n int, _ OpResult) (Op, bool) {
+		return Op{Kind: OpLoad, Addr: m.PrivateAddr(1)}, n == 0
 	}), Pin(0))
-	s.Spawn(NewProgram("b", func(m *Machine) {
-		m.Compute(100_000) // run after a's load
-		lat1 = m.Load(m.PrivateAddr(1))
+	s.Spawn(program("b", func(m *Machine, n int, prev OpResult) (Op, bool) {
+		switch n {
+		case 0:
+			return Op{Kind: OpCompute, Cycles: 100_000}, true // run after a's load
+		case 1:
+			return Op{Kind: OpLoad, Addr: m.PrivateAddr(1)}, true
+		}
+		lat1 = prev.Latency
+		return Op{}, false
 	}), Pin(1))
 	s.Run(1_000_000)
 	cfg := TestConfig()
@@ -466,44 +486,48 @@ func TestTrackerKindSelectable(t *testing.T) {
 		s := MustNew(cfg)
 		rec := trace.NewRecorder(trace.KindConflictMiss)
 		s.AddListener(rec)
-		pingpong := func(m *Machine) {
-			geo := m.Geometry()
-			for {
-				for w := 0; w < geo.L2Ways; w++ {
-					m.Load(m.L2AddrForSet(0, w))
-				}
-				m.Sleep(100)
+		// Load every way of set 0, then sleep 100 cycles: read the
+		// clock and wait until 100 cycles past it.
+		fill := func(m *Machine, n int, prev OpResult) (Op, bool) {
+			ways := m.Geometry().L2Ways
+			switch k := n % (ways + 2); {
+			case k < ways:
+				return Op{Kind: OpLoad, Addr: m.L2AddrForSet(0, k)}, true
+			case k == ways:
+				return Op{Kind: OpNow}, true
 			}
+			return Op{Kind: OpWaitUntil, Cycles: prev.Now + 100}, true
 		}
-		s.Spawn(NewProgram("t", pingpong), Pin(0))
-		s.Spawn(NewProgram("s", pingpong), Pin(1))
+		s.Spawn(program("t", fill), Pin(0))
+		s.Spawn(program("s", fill), Pin(1))
 		s.Run(1_000_000)
 		if rec.Train().Len() == 0 {
 			t.Errorf("tracker %v found no conflicts", kind)
 		}
-		s.Close()
 	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"no cores":         func(c *Config) { c.Cores = 0 },
-		"no threads":       func(c *Config) { c.ThreadsPerCore = 0 },
-		"zero quantum":     func(c *Config) { c.QuantumCycles = 0 },
-		"bad faults":       func(c *Config) { c.Faults.DropProb = 2 },
-		"negative batch":   func(c *Config) { c.EventBatch = -1 },
-		"bad L2 geometry":  func(c *Config) { c.L2.LineBytes = 48 },
-		"bad L1 geometry":  func(c *Config) { c.L1.Ways = 0 },
-		"256 contexts":     func(c *Config) { c.Cores, c.ThreadsPerCore = 128, 2 },
-		"300 contexts":     func(c *Config) { c.Cores, c.ThreadsPerCore = 300, 1 },
-		"L1 lines shorter": func(c *Config) { c.L1.LineBytes, c.L1.SizeBytes = 32, 16<<10 },
-		"L2 lines longer":  func(c *Config) { c.L2.LineBytes = 128 },
+		"no cores":                    func(c *Config) { c.Cores = 0 },
+		"no threads":                  func(c *Config) { c.ThreadsPerCore = 0 },
+		"zero quantum":                func(c *Config) { c.QuantumCycles = 0 },
+		"bad faults":                  func(c *Config) { c.Faults.DropProb = 2 },
+		"negative batch":              func(c *Config) { c.EventBatch = -1 },
+		"bad L2 geometry":             func(c *Config) { c.L2.LineBytes = 48 },
+		"bad L1 geometry":             func(c *Config) { c.L1.Ways = 0 },
+		"256 contexts":                func(c *Config) { c.Cores, c.ThreadsPerCore = 128, 2 },
+		"300 contexts":                func(c *Config) { c.Cores, c.ThreadsPerCore = 300, 1 },
+		"L1 lines shorter":            func(c *Config) { c.L1.LineBytes, c.L1.SizeBytes = 32, 16<<10 },
+		"L2 lines longer":             func(c *Config) { c.L2.LineBytes = 128 },
+		"TLB sets not a power of two": func(c *Config) { c.TLB = tlb.Config{Sets: 3, Ways: 2, HitCycles: 1, WalkCycles: 30} },
+		"zero TLB ways":               func(c *Config) { c.TLB = tlb.Config{Sets: 4, Ways: 0, HitCycles: 1, WalkCycles: 30} },
+		"zero TLB latency":            func(c *Config) { c.TLB = tlb.Config{Sets: 4, Ways: 2, HitCycles: 0, WalkCycles: 30} },
 	} {
 		cfg := TestConfig()
 		mutate(&cfg)
-		s, err := New(cfg)
+		_, err := New(cfg)
 		if err == nil {
-			s.Close()
 			t.Errorf("%s: New accepted the configuration", name)
 			continue
 		}
@@ -514,9 +538,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	// 255 contexts is the most that leave trace.NoContext unused.
 	cfg := TestConfig()
 	cfg.Cores, cfg.ThreadsPerCore = 255, 1
-	s, err := New(cfg)
-	if err != nil {
+	if _, err := New(cfg); err != nil {
 		t.Fatalf("255 contexts rejected: %v", err)
 	}
-	s.Close()
 }

@@ -10,7 +10,8 @@ const (
 	OpLoad
 	// OpStore writes Addr (modelled identically to OpLoad).
 	OpStore
-	// OpLoadN performs the loads in Addrs back-to-back in one round.
+	// OpLoadN performs the loads in Addrs back-to-back in one round;
+	// other contexts do not interleave within the batch.
 	OpLoadN
 	// OpAtomicUnaligned locks the memory bus for an atomic access
 	// spanning two lines at Addr.
@@ -21,7 +22,8 @@ const (
 	OpDivN
 	// OpNow reads the context's clock.
 	OpNow
-	// OpWaitUntil sleeps until absolute cycle Cycles.
+	// OpWaitUntil sleeps until absolute cycle Cycles (a no-op when it
+	// is already past).
 	OpWaitUntil
 	// OpTLBProbe looks up Addr's translation in the core's shared TLB
 	// (filling on a miss) without touching the cache hierarchy.
@@ -29,7 +31,7 @@ const (
 )
 
 // Op is one decoded machine operation. It is the unit of work the
-// engine executes: Steppers hand ops to the engine by value, so the
+// engine executes: programs hand ops to the engine by value, so the
 // steady-state execution path performs no per-op allocation.
 type Op struct {
 	Kind   OpKind
@@ -47,41 +49,22 @@ type OpResult struct {
 	Latency uint64 // cycles from issue to completion
 }
 
-// Stepper is a resumable program: a state machine the engine drives
-// with direct calls instead of a goroutine. The engine calls Step to
+// Program is the code a software process runs: a resumable state
+// machine the engine drives with direct calls. The engine calls Step to
 // obtain the next operation, executes it, and passes the result to the
-// following Step call — zero channel traffic, zero stack switches.
+// following Step call, so op execution is a plain function call with no
+// goroutine, channel or per-op allocation.
 //
-// Every Stepper must also implement the blocking Program interface;
-// RunSteps adapts Step to the goroutine driver so the exact same
-// program logic runs under either driver (the differential-test
-// lever: Config.Driver selects which one executes).
-//
-// A Stepper instance holds per-run state and must not be spawned into
+// A Program instance holds per-run state and must not be spawned into
 // more than one process.
-type Stepper interface {
-	Program
-	// Begin hands the stepper its machine handle before the first
-	// Step. Only the non-blocking Machine methods (Geometry, PID,
-	// PrivateAddr, L2AddrForSet) may be called on it.
+type Program interface {
+	// Name labels the process for reporting.
+	Name() string
+	// Begin hands the program its machine handle before the first
+	// Step.
 	Begin(m *Machine)
 	// Step returns the next operation given the previous op's result.
 	// The first call receives the zero OpResult. ok=false means the
 	// program finished; Step is never called again.
 	Step(prev OpResult) (op Op, ok bool)
-}
-
-// RunSteps drives a Stepper through the blocking Machine API. Stepper
-// implementations use it as their entire Program.Run body, so the
-// goroutine reference driver executes the identical op stream.
-func RunSteps(s Stepper, m *Machine) {
-	s.Begin(m)
-	var prev OpResult
-	for {
-		op, ok := s.Step(prev)
-		if !ok {
-			return
-		}
-		prev = m.Do(op)
-	}
 }

@@ -29,16 +29,7 @@ type Process struct {
 	sys     *System
 	machine *Machine
 
-	// Goroutine-driver plumbing (nil-channel-free even on the step
-	// path: the channels are always allocated, but never used when the
-	// engine drives the program by direct Step calls).
-	reqCh  chan Op
-	respCh chan response
-
-	// step is non-nil when the engine drives this program
-	// coroutine-free; last carries the previous op's result into the
-	// next Step call.
-	step Stepper
+	// last carries the previous op's result into the next Step call.
 	last OpResult
 
 	// pendOp is the fetched-but-not-yet-executed operation, held by
@@ -58,7 +49,7 @@ func (p *Process) ID() int { return p.id }
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
 
-// Done reports whether the program has returned.
+// Done reports whether the program has finished.
 func (p *Process) Done() bool { return p.done }
 
 // core bundles the per-core hardware.
@@ -117,7 +108,6 @@ type System struct {
 	rng      *stats.RNG
 	heap     []*hwContext // min-heap over non-idle contexts; see ctxheap.go
 	started  bool
-	closed   bool
 
 	migrations uint64
 	switches   uint64
@@ -219,11 +209,15 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: L1: %v", ErrBadConfig, err)
 		}
+		stlb, err := tlb.New(tlbCfg, s.emit)
+		if err != nil {
+			return nil, fmt.Errorf("%w: TLB: %v", ErrBadConfig, err)
+		}
 		co := &core{
 			id:  c,
 			l1:  l1,
 			div: divider.New(cfg.Div, s.emit),
-			tlb: tlb.New(tlbCfg, s.emit),
+			tlb: stlb,
 		}
 		s.cores = append(s.cores, co)
 		for t := 0; t < cfg.ThreadsPerCore; t++ {
@@ -302,8 +296,6 @@ func (s *System) Spawn(prog Program, opts ...SpawnOption) *Process {
 		prog:   prog,
 		pinned: -1,
 		sys:    s,
-		reqCh:  make(chan Op),
-		respCh: make(chan response),
 	}
 	for _, o := range opts {
 		o(p)

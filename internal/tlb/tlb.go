@@ -6,7 +6,16 @@
 // normal working-set churn and stay silent.
 package tlb
 
-import "cchunter/internal/trace"
+import (
+	"errors"
+	"fmt"
+
+	"cchunter/internal/trace"
+)
+
+// ErrBadConfig is wrapped by every configuration validation error in
+// this package.
+var ErrBadConfig = errors.New("tlb: bad configuration")
 
 // PageShift is the page size the TLB translates (4 KiB pages).
 const PageShift = 12
@@ -50,16 +59,19 @@ type TLB struct {
 	conflicts uint64
 }
 
-// New returns an sTLB. It panics on a bad geometry.
-func New(cfg Config, l trace.Listener) *TLB {
+// New returns an sTLB, rejecting a bad geometry with an error wrapping
+// ErrBadConfig. TLB configurations reach here from user-settable
+// machine descriptions, so a bad one is input, not a programming error.
+func New(cfg Config, l trace.Listener) (*TLB, error) {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
-		panic("tlb: Sets must be a positive power of two")
+		return nil, fmt.Errorf("%w: %d sets is not a positive power of two", ErrBadConfig, cfg.Sets)
 	}
 	if cfg.Ways <= 0 {
-		panic("tlb: Ways must be positive")
+		return nil, fmt.Errorf("%w: %d ways must be positive", ErrBadConfig, cfg.Ways)
 	}
 	if cfg.HitCycles == 0 || cfg.WalkCycles == 0 {
-		panic("tlb: zero latency")
+		return nil, fmt.Errorf("%w: hit latency %d and walk latency %d must be positive",
+			ErrBadConfig, cfg.HitCycles, cfg.WalkCycles)
 	}
 	n := cfg.Sets * cfg.Ways
 	return &TLB{
@@ -69,7 +81,7 @@ func New(cfg Config, l trace.Listener) *TLB {
 		valid:    make([]bool, n),
 		used:     make([]uint64, n),
 		listener: l,
-	}
+	}, nil
 }
 
 // SetOf returns the TLB set an address's page maps to.

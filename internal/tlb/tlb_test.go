@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"errors"
 	"testing"
 
 	"cchunter/internal/trace"
@@ -8,7 +9,11 @@ import (
 
 // small is a 2-set × 2-way TLB with distinct hit and walk latencies.
 func small(l trace.Listener) *TLB {
-	return New(Config{Sets: 2, Ways: 2, HitCycles: 1, WalkCycles: 100}, l)
+	t, err := New(Config{Sets: 2, Ways: 2, HitCycles: 1, WalkCycles: 100}, l)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // page returns an address on the n-th page mapping to set.
@@ -116,19 +121,19 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnBadGeometry(t *testing.T) {
+func TestNewRejectsBadGeometry(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"sets not power of two": {Sets: 3, Ways: 2, HitCycles: 1, WalkCycles: 10},
 		"zero ways":             {Sets: 2, Ways: 0, HitCycles: 1, WalkCycles: 10},
 		"zero latency":          {Sets: 2, Ways: 2, HitCycles: 0, WalkCycles: 10},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: New did not panic", name)
-				}
-			}()
-			New(cfg, nil)
-		}()
+		tl, err := New(cfg, nil)
+		if err == nil {
+			t.Errorf("%s: New accepted the configuration", name)
+			continue
+		}
+		if tl != nil || !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: New = %v, %v; want nil and an error wrapping ErrBadConfig", name, tl, err)
+		}
 	}
 }

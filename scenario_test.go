@@ -365,3 +365,42 @@ func TestEvasionNoiseRaisesErrors(t *testing.T) {
 		t.Errorf("camouflaged channel escaped detection:\n%s", res.Report)
 	}
 }
+
+// TestFaultMetricsSumAcrossRuns: the fault injector's metrics are
+// counters that publish deltas, so two faulty runs sharing one
+// registry report the sum of their FaultStats.
+func TestFaultMetricsSumAcrossRuns(t *testing.T) {
+	reg := NewMetricsRegistry()
+	var want struct{ seen, delivered, lost, corrupted uint64 }
+	for seed := uint64(1); seed <= 2; seed++ {
+		res, err := Scenario{
+			Channel:       ChannelMemoryBus,
+			BandwidthBPS:  1000,
+			Message:       RandomMessage(16, seed),
+			QuantumCycles: testQuantum,
+			Faults:        FaultConfig{DropProb: 0.05, JitterCycles: 100, DupProb: 0.02, Seed: seed},
+			Metrics:       reg,
+		}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := res.FaultStats
+		if fs == nil || fs.Lost() == 0 || fs.Jittered == 0 {
+			t.Fatalf("run %d: faults not exercised: %+v", seed, fs)
+		}
+		want.seen += fs.Seen
+		want.delivered += fs.Delivered
+		want.lost += fs.Lost()
+		want.corrupted += fs.Jittered + fs.Duplicated + fs.Reordered + fs.CtxFlipped + fs.CtxSmeared
+	}
+	for name, w := range map[string]uint64{
+		"faults.seen":      want.seen,
+		"faults.delivered": want.delivered,
+		"faults.lost":      want.lost,
+		"faults.corrupted": want.corrupted,
+	} {
+		if got := reg.Counter(name).Value(); got != w {
+			t.Errorf("%s = %d, want %d summed over both runs", name, got, w)
+		}
+	}
+}
